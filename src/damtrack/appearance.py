@@ -15,8 +15,10 @@ of the energy stops being negligible.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .geometry import Box
 from .media import Frame, crop_patch, crop_rect, hsv_channels, resample, to_gray
@@ -69,27 +71,34 @@ def cosine(a: Descriptor, b: Descriptor) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _window_sums(gray_f64: np.ndarray, th: int, tw: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-offset sums and sums of squares over all th x tw windows.
+def _spectrum(a: np.ndarray, fshape: tuple[int, ...], axes: tuple[int, ...]
+              ) -> np.ndarray:
+    """Real FFT of a, zero-padded by hand so the FFT copies nothing."""
+    shape = list(a.shape)
+    for axis, n in zip(axes, fshape):
+        shape[axis] = n
+    padded = np.zeros(shape)
+    padded[:a.shape[0], :a.shape[1]] = a
+    return sp_fft.rfftn(padded, axes=axes)
 
-    Computed with int64 integral images so flat windows have exactly zero
-    variance.
+
+@functools.lru_cache(maxsize=4)
+def _template_terms(data: bytes, dtype: str, shape: tuple[int, int],
+                    fshape: tuple[int, ...], axes: tuple[int, ...]
+                    ) -> tuple[float, np.ndarray | None]:
+    """Sum of squares and flipped spectrum of the zero-mean template.
+
+    A tracker's template is fixed between reinits, so each is computed once
+    per template and FFT shape; the spectrum is None for a flat template.
     """
-    g = gray_f64.astype(np.int64)
-    ii = np.zeros((g.shape[0] + 1, g.shape[1] + 1), dtype=np.int64)
-    ii2 = np.zeros_like(ii)
-    np.cumsum(np.cumsum(g, axis=0), axis=1, out=ii[1:, 1:])
-    np.cumsum(np.cumsum(g * g, axis=0), axis=1, out=ii2[1:, 1:])
-
-    def box_sum(tab):
-        return (
-            tab[th:, tw:]
-            - tab[:-th, tw:]
-            - tab[th:, :-tw]
-            + tab[:-th, :-tw]
-        )
-
-    return box_sum(ii).astype(np.float64), box_sum(ii2).astype(np.float64)
+    t0 = np.frombuffer(data, dtype).reshape(shape).astype(np.float64)
+    t0 -= t0.mean()
+    t_ss = float(np.sum(t0 * t0))
+    if t_ss == 0.0:
+        return t_ss, None
+    spec = _spectrum(t0[::-1, ::-1], fshape, axes)
+    spec.flags.writeable = False
+    return t_ss, spec
 
 
 def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -97,6 +106,14 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
 
     Output shape is (H-th+1, W-tw+1). Offsets where the window or the template
     has zero variance score 0.
+
+    The correlation is a real FFT product over the axes where the template is
+    longer than 1 (a length-1 axis broadcasts), at fast FFT lengths. Window
+    sums and sums of squares come from float64 integral images, which hold
+    exact integers, so a flat window has exactly zero variance. The later
+    steps work in place, and the result is a view into the inverse FFT.
+    The results equal those of ``scipy.signal.fftconvolve`` in valid mode
+    followed by the same normalisation, bit for bit.
     """
     th, tw = template.shape
     rh, rw = region_gray.shape
@@ -104,21 +121,43 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"template {tw}x{th} larger than region {rw}x{rh}"
         )
-    t = template.astype(np.float64)
-    t0 = t - t.mean()
-    t_ss = float(np.sum(t0 * t0))
-    if t_ss == 0.0:
+    # sum(w * t0) == sum((w - mean(w)) * t0) because t0 sums to zero; the
+    # convolution with the flipped template gives that sum at every offset,
+    # in its valid block [th-1:rh, tw-1:rw]
+    full = (rh + th - 1, rw + tw - 1)
+    axes = tuple(a for a in (0, 1) if template.shape[a] > 1)
+    fshape = tuple(sp_fft.next_fast_len(full[a], True) for a in axes)
+    t_ss, t_spec = _template_terms(template.tobytes(), template.dtype.str,
+                                   template.shape, fshape, axes)
+    if t_spec is None:
         return np.zeros((rh - th + 1, rw - tw + 1))
-    # sum(w * t0) == sum((w - mean(w)) * t0) because t0 sums to zero;
-    # the valid-mode correlation gives that sum at every offset
-    num = fftconvolve(region_gray.astype(np.float64), t0[::-1, ::-1],
-                      mode="valid")
-    w_sum, w_ss = _window_sums(region_gray, th, tw)
-    w_var = w_ss - w_sum * w_sum / (th * tw)
+    spec = _spectrum(region_gray, fshape, axes)
+    spec *= t_spec
+    num = sp_fft.irfftn(spec, fshape, axes=axes)[th - 1:rh, tw - 1:rw]
+    del spec  # each large temporary is freed before the next is allocated
+
+    # integral images of the values and of their squares
+    ii = np.zeros((2, rh + 1, rw + 1))
+    np.cumsum(region_gray, axis=0, dtype=np.float64, out=ii[0, 1:, 1:])
+    np.multiply(region_gray, region_gray, dtype=np.float64, out=ii[1, 1:, 1:])
+    np.cumsum(ii[1, 1:, 1:], axis=0, out=ii[1, 1:, 1:])
+    np.cumsum(ii[:, 1:, 1:], axis=2, out=ii[:, 1:, 1:])
+    sums = ii[:, th:, tw:] - ii[:, :-th, tw:]
+    sums -= ii[:, th:, :-tw]
+    sums += ii[:, :-th, :-tw]
+    del ii
+
+    w_sum, w_var = sums
+    # w_var = w_ss - w_sum * w_sum / (th * tw), in that order
+    w_sum *= w_sum
+    w_sum /= th * tw
+    w_var -= w_sum
     flat = w_var <= 0.0
-    denom = np.sqrt(np.where(flat, 1.0, w_var) * t_ss)
-    scores = np.where(flat, 0.0, num / denom)
-    return np.clip(scores, -1.0, 1.0)
+    w_var[flat] = 1.0
+    w_var *= t_ss
+    num /= np.sqrt(w_var, out=w_var)
+    num[flat] = 0.0
+    return np.clip(num, -1.0, 1.0, out=num)
 
 
 def ncc_search(frame: Frame, template: np.ndarray, region: Box) -> tuple[Box, float]:
@@ -132,7 +171,7 @@ def ncc_search(frame: Frame, template: np.ndarray, region: Box) -> tuple[Box, fl
     if rect is None:
         raise ValueError(f"search region {region} does not intersect the frame")
     x0, y0, x1, y1 = rect
-    region_gray = frame.gray()[y0:y1, x0:x1]
+    region_gray = frame.gray(x0, y0, x1, y1)
     scores = ncc_scores(region_gray, template)
     peak = int(np.argmax(scores))
     oy, ox = divmod(peak, scores.shape[1])

@@ -48,6 +48,12 @@ _PIPELINE_KEYS = (
 
 KNOWN_KEYS = tuple(_SOURCE_KEYS) + tuple(_DAM_KEYS) + _PIPELINE_KEYS
 
+# JSON has one number type and truthy strings, so these keys are type-checked:
+# "delta": 2.5 would reach an integer field and "use_drm": "false" is truthy
+_BOOL_KEYS = tuple(key for key in _PIPELINE_KEYS if key.startswith("use_"))
+_INT_KEYS = ("delta", "ram_capacity", "drm_capacity", "window_w", "m_min",
+            "neg_capacity")
+
 # fields scaled by perturbation sweeps: every [0,1] threshold and weight;
 # integer counts, capacities, and strides are excluded
 PERTURBABLE = (
@@ -74,6 +80,15 @@ def config_from_dict(data: dict) -> PipelineConfig:
     unknown = sorted(set(data) - set(KNOWN_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key in _BOOL_KEYS:
+        if key in data and not isinstance(data[key], bool):
+            raise ValueError(f"config key {key} must be true or false, "
+                             f"got {data[key]!r}")
+    for key in _INT_KEYS:
+        if key in data and (isinstance(data[key], bool)
+                            or not isinstance(data[key], int)):
+            raise ValueError(f"config key {key} must be an integer, "
+                             f"got {data[key]!r}")
     source_kw = {
         fname: data[key] for key, fname in _SOURCE_KEYS.items() if key in data
     }

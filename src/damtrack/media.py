@@ -1,7 +1,10 @@
 """Frame representation, PPM/PGM sequence I/O, patch extraction, color conversions.
 
 Patches are plain numpy arrays: RGB patches are ``(h, w, 3) uint8``, grayscale
-patches ``(h, w) uint8``. Only binary PPM (P6) and PGM (P5) are decoded
+patches ``(h, w) uint8``. A frame is never converted to gray as a whole:
+``Frame.gray`` converts only the rectangle a caller reads, and since the
+conversion is per pixel, a window's gray equals the same window of the
+full-frame gray bit for bit. Only binary PPM (P6) and PGM (P5) are decoded
 natively; PNG support is optional and needs Pillow.
 """
 
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -27,7 +30,6 @@ class Frame:
 
     pixels: np.ndarray  # (H, W, 3) uint8
     index: int = 0
-    _gray: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
@@ -40,11 +42,13 @@ class Frame:
         h, w = self.pixels.shape[:2]
         return FrameDims(w, h)
 
-    def gray(self) -> np.ndarray:
-        """Full-frame grayscale view, computed once per frame."""
-        if self._gray is None:
-            self._gray = to_gray(self.pixels)
-        return self._gray
+    def gray(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+        """Grayscale of the pixel rectangle [x0, x1) x [y0, y1), a fresh array.
+
+        The corners are in ``crop_rect`` order, so ``frame.gray(*rect)``
+        converts a crop rectangle.
+        """
+        return to_gray(self.pixels[y0:y1, x0:x1])
 
 
 # --- pixel math ---------------------------------------------------------------
@@ -56,7 +60,8 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 def to_gray(patch: np.ndarray) -> np.ndarray:
     """Convert an RGB patch to 8-bit grayscale (BT.601 luma, round-half-up)."""
     luma = patch.astype(np.float64) @ _LUMA
-    return np.floor(luma + 0.5).astype(np.uint8)
+    luma += 0.5
+    return np.floor(luma, out=luma).astype(np.uint8)
 
 
 def to_hsv(pixel) -> tuple[float, float, float]:
@@ -172,6 +177,8 @@ def read_pnm(path: str) -> np.ndarray:
     """Decode a binary PPM (P6) or PGM (P5) file.
 
     Returns (H, W, 3) for PPM and (H, W) for PGM, both uint8, maxval 255 only.
+    The result is a read-only view over the file's bytes, not a copy; bytes
+    after the pixel data are ignored.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -190,17 +197,17 @@ def read_pnm(path: str) -> np.ndarray:
         pos += 1  # single whitespace byte after maxval
         channels = 3 if magic == b"P6" else 1
         need = width * height * channels
-        raw = data[pos : pos + need]
-        if len(raw) != need:
-            raise MediaError(f"expected {need} pixel bytes, found {len(raw)}")
+        if len(data) - pos < need:
+            found = max(len(data) - pos, 0)
+            raise MediaError(f"expected {need} pixel bytes, found {found}")
     except MediaError as e:
         raise MediaError(f"{path}: {e}") from None
     except ValueError as e:
         raise MediaError(f"{path}: bad header field ({e})") from None
-    arr = np.frombuffer(raw, dtype=np.uint8)
+    arr = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     if channels == 3:
-        return arr.reshape(height, width, 3).copy()
-    return arr.reshape(height, width).copy()
+        return arr.reshape(height, width, 3)
+    return arr.reshape(height, width)
 
 
 def write_pnm(path: str, pixels: np.ndarray) -> None:

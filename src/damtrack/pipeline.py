@@ -376,8 +376,7 @@ class TrackerSession:
 
     def _refresh_verified(self, frame: Frame, box: Box, desc: Descriptor) -> None:
         self.last_verified_descriptor = desc
-        x0, y0, x1, y1 = crop_rect(frame.dims, box)
-        self.last_verified_template = frame.gray()[y0:y1, x0:x1].copy()
+        self.last_verified_template = frame.gray(*crop_rect(frame.dims, box))
 
 
 def _resume_at_detection(dets: DetectionSet, t: int, b_ref: Box,
@@ -397,8 +396,7 @@ def _patch_has_texture(frame: Frame, box: Box) -> bool:
     rect = crop_rect(frame.dims, box)
     if rect is None:
         return False
-    x0, y0, x1, y1 = rect
-    patch = frame.gray()[y0:y1, x0:x1]
+    patch = frame.gray(*rect)
     return patch.size > 0 and float(patch.max()) > float(patch.min())
 
 

@@ -32,9 +32,7 @@ class TemplateTracker:
         rect = crop_rect(frame.dims, box)
         if rect is None:
             raise ValueError(f"init box {box} does not intersect the frame")
-        x0, y0, x1, y1 = rect
-        patch = frame.gray()[y0:y1, x0:x1]
-        self.template = resample(patch, TEMPLATE_SIDE, TEMPLATE_SIDE)
+        self.template = resample(frame.gray(*rect), TEMPLATE_SIDE, TEMPLATE_SIDE)
         self.last_box = box
 
     def update(self, frame: Frame) -> tuple[Box, float]:
@@ -50,7 +48,7 @@ class TemplateTracker:
         last = self.last_box
         window = roi_crop(last, SEARCH_SCALE, frame.dims)
         x0, y0, x1, y1 = crop_rect(frame.dims, window)
-        win = frame.gray()[y0:y1, x0:x1]
+        win = frame.gray(x0, y0, x1, y1)
         wh, ww = win.shape
         norm_w = max(int(round(ww * TEMPLATE_SIDE / last.w)), TEMPLATE_SIDE)
         norm_h = max(int(round(wh * TEMPLATE_SIDE / last.h)), TEMPLATE_SIDE)
@@ -274,10 +272,12 @@ class MotionEstimator:
         if rect is None:
             return self._ema
         x0, y0, x1, y1 = rect
-        corners = shi_tomasi_corners(prev_frame.gray()[y0:y1, x0:x1],
+        corners = shi_tomasi_corners(prev_frame.gray(x0, y0, x1, y1),
                                      self.MAX_CORNERS)
         points = [(x + x0, y + y0) for x, y in corners]
-        flows, valid = lk_flow(prev_frame.gray(), cur_frame.gray(), points)
+        w, h = prev_frame.dims.width, prev_frame.dims.height
+        flows, valid = lk_flow(prev_frame.gray(0, 0, w, h),
+                               cur_frame.gray(0, 0, w, h), points)
         if int(valid.sum()) < self.MIN_VALID:
             return self._ema
         med = np.median(flows[valid], axis=0)

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import fftconvolve
 
+import damtrack
 from conftest import make_block_patch, make_scene
 from damtrack.appearance import (DESCRIPTOR_LEN, HUE_BINS, PATCH_SIDE,
                                  SAT_BINS, compute_descriptor, cosine,
@@ -131,6 +140,96 @@ def brute_force_ncc(region: np.ndarray, template: np.ndarray) -> np.ndarray:
     return np.clip(out, -1.0, 1.0)
 
 
+def _window_sums(gray: np.ndarray, th: int, tw: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-offset window sums and sums of squares from int64 integral images."""
+    g = gray.astype(np.int64)
+    ii = np.zeros((g.shape[0] + 1, g.shape[1] + 1), dtype=np.int64)
+    ii2 = np.zeros_like(ii)
+    np.cumsum(np.cumsum(g, axis=0), axis=1, out=ii[1:, 1:])
+    np.cumsum(np.cumsum(g * g, axis=0), axis=1, out=ii2[1:, 1:])
+
+    def box_sum(tab):
+        return (tab[th:, tw:] - tab[:-th, tw:] - tab[th:, :-tw]
+                + tab[:-th, :-tw])
+
+    return box_sum(ii).astype(np.float64), box_sum(ii2).astype(np.float64)
+
+
+def reference_ncc(region: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """The straightforward kernel: fftconvolve plus int64 window sums."""
+    th, tw = template.shape
+    rh, rw = region.shape
+    t = template.astype(np.float64)
+    t0 = t - t.mean()
+    t_ss = float(np.sum(t0 * t0))
+    if t_ss == 0.0:
+        return np.zeros((rh - th + 1, rw - tw + 1))
+    num = fftconvolve(region.astype(np.float64), t0[::-1, ::-1],
+                      mode="valid")
+    w_sum, w_ss = _window_sums(region, th, tw)
+    w_var = w_ss - w_sum * w_sum / (th * tw)
+    flat = w_var <= 0.0
+    denom = np.sqrt(np.where(flat, 1.0, w_var) * t_ss)
+    scores = np.where(flat, 0.0, num / denom)
+    return np.clip(scores, -1.0, 1.0)
+
+
+@st.composite
+def ncc_cases(draw, max_side: int = 40):
+    rh = draw(st.integers(1, max_side))
+    rw = draw(st.integers(1, max_side))
+    # two grey levels make flat windows common; all 256 make them rare
+    levels = draw(st.sampled_from([(0, 255), (60, 61), (100, 200, 7),
+                                   tuple(range(256))]))
+    region = draw(arrays(np.uint8, (rh, rw), elements=st.sampled_from(levels)))
+    # template as tall or wide as the region gives a 1-row or 1-column output
+    th = draw(st.sampled_from([1, rh]) | st.integers(1, rh))
+    tw = draw(st.sampled_from([1, rw]) | st.integers(1, rw))
+    kind = draw(st.sampled_from(["drawn", "cut", "flat"]))
+    if kind == "cut":
+        y = draw(st.integers(0, rh - th))
+        x = draw(st.integers(0, rw - tw))
+        template = region[y:y + th, x:x + tw].copy()
+    elif kind == "flat":
+        template = np.full((th, tw), draw(st.integers(0, 255)), np.uint8)
+    else:
+        template = draw(arrays(np.uint8, (th, tw)))
+    return region, template
+
+
+@settings(max_examples=400, deadline=None)
+@given(ncc_cases())
+def test_ncc_matches_reference_kernel_bitwise(case):
+    region, template = case
+    got = ncc_scores(region, template)
+    want = reference_ncc(region, template)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ncc_cases(max_side=12))
+def test_ncc_matches_brute_force_small(case):
+    region, template = case
+    got = ncc_scores(region, template)
+    want = brute_force_ncc(region, template)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-9
+
+
+def test_ncc_kernel_does_not_import_scipy_signal():
+    # scipy.signal costs tens of MB and about a second on import; the
+    # kernel needs only scipy.fft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(damtrack.__file__)))
+    code = ("import sys, damtrack.pipeline, damtrack.cli; "
+            "print('scipy.signal' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_ncc_matches_brute_force(rng):
     region = rng.integers(0, 256, size=(20, 22), dtype=np.uint8)
     template = rng.integers(0, 256, size=(5, 6), dtype=np.uint8)
@@ -185,7 +284,7 @@ def test_ncc_search_finds_offset_and_ties_row_major(rng):
     patch = make_block_patch(9, 9, seed=5)
     frame = make_scene(40, 32, [])
     frame.pixels[12:21, 17:26] = patch
-    template = frame.gray()[12:21, 17:26].copy()
+    template = frame.gray(17, 12, 26, 21)
     best, peak = ncc_search(frame, template, Box(0, 0, 40, 32))
     assert (best.x, best.y, best.w, best.h) == (17, 12, 9, 9)
     assert peak == pytest.approx(1.0, abs=1e-6)

@@ -116,3 +116,35 @@ def test_perturbable_is_the_continuous_subset():
                   "neg_capacity", "epsilon", "stage1_reinit", "use_detector",
                   "use_ram", "use_drm", "use_held"}
     assert set(KNOWN_KEYS) - set(PERTURBABLE) == structural
+
+
+@pytest.mark.parametrize("key", [k for k in KNOWN_KEYS if k.startswith("use_")])
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_switch_must_be_a_json_bool(key, value):
+    with pytest.raises(ValueError) as err:
+        config_from_dict({key: value})
+    assert key in str(err.value)
+    cfg = config_from_dict({"use_drm": False, key: False})
+    assert getattr(cfg, key) is False
+
+
+@pytest.mark.parametrize("key", ["delta", "ram_capacity", "drm_capacity",
+                                 "window_w", "m_min", "neg_capacity"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_integer_keys_reject_non_integers(key, value):
+    with pytest.raises(ValueError) as err:
+        config_from_dict({key: value})
+    assert key in str(err.value)
+    assert config_to_dict(config_from_dict({key: 4}))[key] == 4
+
+
+def test_type_errors_name_the_path_and_key(tmp_path):
+    path = tmp_path / "typed.json"
+    path.write_text('{"use_drm": "false"}')
+    with pytest.raises(ValueError) as err:
+        load_config(str(path))
+    assert str(path) in str(err.value) and "use_drm" in str(err.value)
+    path.write_text('{"delta": 2.5}')
+    with pytest.raises(ValueError) as err:
+        load_config(str(path))
+    assert str(path) in str(err.value) and "delta" in str(err.value)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_scene
 from damtrack.geometry import Box, FrameDims
@@ -63,12 +66,26 @@ def test_frame_validation_and_dims():
     assert f.dims == FrameDims(6, 4)
 
 
-def test_frame_gray_cached():
-    f = make_scene(20, 20, [(Box(2, 2, 8, 8), 1)])
-    g1 = f.gray()
-    g2 = f.gray()
-    assert g1 is g2
-    assert np.array_equal(g1, to_gray(f.pixels))
+@st.composite
+def frames_and_rects(draw):
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    pixels = draw(arrays(np.uint8, (h, w, 3)))
+    # one corner at a time, each pinned to the border a fair share of draws
+    x0 = draw(st.sampled_from([0, w - 1]) | st.integers(0, w - 1))
+    y0 = draw(st.sampled_from([0, h - 1]) | st.integers(0, h - 1))
+    x1 = draw(st.sampled_from([x0 + 1, w]) | st.integers(x0 + 1, w))
+    y1 = draw(st.sampled_from([y0 + 1, h]) | st.integers(y0 + 1, h))
+    return Frame(pixels), (x0, y0, x1, y1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames_and_rects())
+def test_frame_gray_window_equals_full_frame_slice(case):
+    f, (x0, y0, x1, y1) = case
+    got = f.gray(x0, y0, x1, y1)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, to_gray(f.pixels)[y0:y1, x0:x1])
 
 
 def test_crop_rect_rounds_outward():
@@ -167,6 +184,32 @@ def test_read_pnm_errors_name_the_file(tmp_path, content, fragment):
         read_pnm(path)
     assert path in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_read_pnm_truncated_pixels_count_what_is_there(tmp_path):
+    path = str(tmp_path / "short.ppm")
+    with open(path, "wb") as f:
+        f.write(b"P6\n3 2\n255\n" + bytes(17))
+    with pytest.raises(MediaError) as err:
+        read_pnm(path)
+    assert str(err.value) == f"{path}: expected 18 pixel bytes, found 17"
+    # the header ends at maxval: no separator byte, no pixel bytes
+    with open(path, "wb") as f:
+        f.write(b"P6\n3 2\n255")
+    with pytest.raises(MediaError) as err:
+        read_pnm(path)
+    assert str(err.value) == f"{path}: expected 18 pixel bytes, found 0"
+
+
+def test_read_pnm_ignores_trailing_bytes(tmp_path, rng):
+    pixels = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
+    path = str(tmp_path / "tail.ppm")
+    write_pnm(path, pixels)
+    with open(path, "ab") as f:
+        f.write(b"trailing junk")
+    out = read_pnm(path)
+    assert out.shape == (4, 5, 3)
+    assert np.array_equal(out, pixels)
 
 
 def test_write_pnm_validation(tmp_path):
