@@ -3,7 +3,9 @@
 A descriptor is a length-512 float64 vector: a mean-removed 16x16 grayscale
 thumbnail scaled to [0, 1] concatenated with a 16 hue x 16 saturation
 histogram normalized to sum 1, the whole thing l2-normalized. No learned
-features anywhere.
+features anywhere. The histogram computes each pixel's bin index straight
+from its integer channels, with the float64 steps of the textbook hexcone
+conversion, so it bins every colour exactly as that conversion does.
 
 Removing the thumbnail mean matters more than it looks: without it the shared
 brightness level carries nearly all of the vector's energy, and any two
@@ -21,7 +23,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .geometry import Box
-from .media import Frame, crop_patch, crop_rect, hsv_channels, resample, to_gray
+from .media import Frame, crop_patch, crop_rect, resample, to_gray
 
 # Descriptors are plain float64 arrays; alias for signatures.
 Descriptor = np.ndarray
@@ -35,14 +37,35 @@ DESCRIPTOR_LEN = PATCH_SIDE * PATCH_SIDE + HUE_BINS * SAT_BINS
 def hsv_histogram(patch: np.ndarray) -> np.ndarray:
     """16x16 hue/saturation histogram of an RGB patch, normalized to sum 1.
 
-    Hue bins are 22.5 degrees wide; saturation bins are 1/16 wide. The value
-    channel is ignored.
+    Hue is hexcone hue (0 for gray pixels) in bins 22.5 degrees wide;
+    saturation is ``(max - min) / max`` (0 for black) in bins 1/16 wide. The
+    value channel is ignored.
+
+    Only the bin index is computed, from int16 channel planes. Hue keeps the
+    float64 steps of the textbook conversion: the branch fraction
+    ``num / delta``, plus 6, 2 or 4 for the red branch below zero, the green
+    and the blue branch (the red branch's ``% 6`` of a value in [-1, 0) adds
+    6, exactly), times 60, divided by 22.5, truncated.
     """
-    h, s, _ = hsv_channels(patch)
-    hue_bin = np.minimum((h / (360.0 / HUE_BINS)).astype(int), HUE_BINS - 1)
-    sat_bin = np.minimum((s * SAT_BINS).astype(int), SAT_BINS - 1)
-    flat = (hue_bin * SAT_BINS + sat_bin).ravel()
-    hist = np.bincount(flat, minlength=HUE_BINS * SAT_BINS).astype(np.float64)
+    r, g, b = patch.transpose(2, 0, 1).astype(np.int16, order="C")
+    mx = np.maximum(np.maximum(r, g), b)
+    delta = mx - np.minimum(np.minimum(r, g), b)
+    on_r = mx == r
+    on_g = mx == g
+    # branch precedence red, then green, then blue
+    num = np.where(on_r, g - b, np.where(on_g, b - r, r - g))
+    hue = num / np.maximum(delta, 1)
+    hue += np.where(on_r, np.where(num < 0, 6.0, 0.0),
+                    np.where(on_g, 2.0, 4.0))
+    hue *= 60.0
+    hue /= 360.0 / HUE_BINS
+    sat = delta / np.maximum(mx, 1)
+    sat *= SAT_BINS
+    flat = np.minimum(hue.astype(np.intp), HUE_BINS - 1)
+    flat *= SAT_BINS
+    flat += np.minimum(sat.astype(np.intp), SAT_BINS - 1)
+    hist = np.bincount(flat.ravel(), minlength=HUE_BINS * SAT_BINS)
+    hist = hist.astype(np.float64)
     return hist / hist.sum()
 
 

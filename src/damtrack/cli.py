@@ -36,20 +36,30 @@ def write_track_file(path: str, outputs: list[TrackOutput]) -> None:
         raise
 
 
-def read_track_file(path: str) -> list[dict]:
-    records: list[dict] = []
+def read_track_file(path: str) -> tuple[list[Box], list[str]]:
+    """Per-frame boxes and modes of a track file, in frame order."""
+    boxes: list[Box] = []
+    modes: list[str] = []
     with open(path, "r", encoding="ascii") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if int(rec["t"]) != len(records):
+            try:
+                rec = json.loads(line)
+                t = int(rec["t"])
+                box = Box.from_dict(rec["box"])
+                mode = str(rec["mode"])
+            except (KeyError, ValueError, TypeError) as e:
+                raise ValueError(
+                    f"{path}:{line_no}: bad track record ({e!r})") from None
+            if t != len(boxes):
                 raise ValueError(f"{path}:{line_no}: non-contiguous frame index")
-            records.append(rec)
-    if not records:
+            boxes.append(box)
+            modes.append(mode)
+    if not boxes:
         raise ValueError(f"{path}: empty track file")
-    return records
+    return boxes, modes
 
 
 def _remove_quiet(path: str) -> None:
@@ -119,7 +129,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError("exactly one of --spec or --suite is required")
     if args.spec is not None:
         with open(args.spec, "r", encoding="ascii") as f:
-            specs = [scenario_spec_from_dict(json.load(f))]
+            try:
+                specs = [scenario_spec_from_dict(json.load(f))]
+            except (KeyError, ValueError, TypeError) as e:
+                raise ValueError(
+                    f"{args.spec}: bad scenario spec ({e!r})") from None
     else:
         specs = standard_suite()
     for spec in specs:
@@ -197,13 +211,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    records = read_track_file(args.pred)
+    boxes, modes = read_track_file(args.pred)
     gt, _occ = read_gt_file(args.gt)
-    if len(records) != len(gt):
+    if len(boxes) != len(gt):
         raise ValueError(f"prediction/ground-truth length mismatch: "
-                         f"{len(records)} vs {len(gt)}")
-    boxes = [Box.from_dict(r["box"]) for r in records]
-    modes = [str(r["mode"]) for r in records]
+                         f"{len(boxes)} vs {len(gt)}")
     ious = [None if g is None else iou(b, g) for b, g in zip(boxes, gt)]
     result = SequenceResult(ious, modes, [0.0] * len(ious))
     report: dict = {

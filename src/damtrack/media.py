@@ -1,15 +1,19 @@
-"""Frame representation, PPM/PGM sequence I/O, patch extraction, color conversions.
+"""Frame representation, PPM/PGM sequence I/O, patch extraction, gray
+conversion and bilinear resampling.
 
 Patches are plain numpy arrays: RGB patches are ``(h, w, 3) uint8``, grayscale
 patches ``(h, w) uint8``. A frame is never converted to gray as a whole:
 ``Frame.gray`` converts only the rectangle a caller reads, and since the
 conversion is per pixel, a window's gray equals the same window of the
-full-frame gray bit for bit. Only binary PPM (P6) and PGM (P5) are decoded
-natively; PNG support is optional and needs Pillow.
+full-frame gray bit for bit. ``resample`` keeps its source indices and
+weights per shape in a small cache and reads the uint8 input directly. Only
+binary PPM (P6) and PGM (P5) are decoded natively; PNG support is optional
+and needs Pillow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -64,47 +68,6 @@ def to_gray(patch: np.ndarray) -> np.ndarray:
     return np.floor(luma, out=luma).astype(np.uint8)
 
 
-def to_hsv(pixel) -> tuple[float, float, float]:
-    """Hexcone HSV of one 8-bit RGB pixel: h in [0, 360), s and v in [0, 1].
-
-    Hue is defined as 0 for achromatic pixels (s = 0).
-    """
-    r, g, b = (int(c) for c in pixel)
-    mx = max(r, g, b)
-    mn = min(r, g, b)
-    delta = mx - mn
-    v = mx / 255.0
-    s = 0.0 if mx == 0 else delta / mx
-    if delta == 0:
-        h = 0.0
-    elif mx == r:
-        h = (60.0 * ((g - b) / delta)) % 360.0
-    elif mx == g:
-        h = 60.0 * ((b - r) / delta + 2.0)
-    else:
-        h = 60.0 * ((r - g) / delta + 4.0)
-    return h, s, v
-
-
-def hsv_channels(patch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized hexcone conversion of an RGB patch; same conventions as to_hsv."""
-    rgb = patch.astype(np.float64)
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    mx = rgb.max(axis=-1)
-    mn = rgb.min(axis=-1)
-    delta = mx - mn
-    safe = np.where(delta == 0, 1.0, delta)
-    h = np.where(
-        mx == r,
-        ((g - b) / safe) % 6.0,
-        np.where(mx == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0),
-    )
-    h = np.where(delta == 0, 0.0, 60.0 * h)
-    s = np.where(mx == 0, 0.0, delta / np.where(mx == 0, 1.0, mx))
-    v = mx / 255.0
-    return h, s, v
-
-
 def crop_patch(frame: Frame, box: Box) -> np.ndarray:
     """Pixels of the box/frame intersection, box rounded outward to the pixel grid."""
     rect = crop_rect(frame.dims, box)
@@ -125,17 +88,16 @@ def crop_rect(dims: FrameDims, box: Box) -> tuple[int, int, int, int] | None:
     return x0, y0, x1, y1
 
 
-def resample(gray: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Bilinear resampling of a grayscale patch to ``out_w`` x ``out_h``.
+@functools.lru_cache(maxsize=16)
+def _resample_plan(in_w: int, in_h: int, out_w: int, out_h: int
+                   ) -> tuple[np.ndarray, ...]:
+    """Source rows and columns and their weights for one resampling shape.
 
-    Uses pixel-center alignment, so identity dims reproduce the input exactly.
+    Returns ``y0, y1, x0, x1, 1 - fx, fx, 1 - fy, fy``, the row weights as
+    columns. A tracker's window keeps its dims from frame to frame, so a plan
+    is built once per shape; its arrays are read-only because every caller
+    shares them.
     """
-    if out_w < 1 or out_h < 1:
-        raise ValueError("output dims must be >= 1")
-    in_h, in_w = gray.shape
-    if (in_w, in_h) == (out_w, out_h):
-        return gray.copy()
-    src = gray.astype(np.float64)
     xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
@@ -143,11 +105,38 @@ def resample(gray: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, in_w - 1)
     y1 = np.minimum(y0 + 1, in_h - 1)
     fx = np.clip(xs - x0, 0.0, 1.0)
-    fy = np.clip(ys - y0, 0.0, 1.0)
-    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
-    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
-    out = top * (1 - fy[:, None]) + bot * fy[:, None]
-    return np.floor(out + 0.5).astype(np.uint8)
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    plan = (y0, y1, x0, x1, 1 - fx, fx, 1 - fy, fy)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def resample(gray: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Bilinear resampling of a grayscale patch to ``out_w`` x ``out_h``.
+
+    Uses pixel-center alignment, so identity dims reproduce the input exactly.
+    Rows are gathered first, then columns, straight from the uint8 input;
+    uint8 times float64 promotes exactly, so each output is the float64 value
+    ``(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy``, rounded half up.
+    """
+    if out_w < 1 or out_h < 1:
+        raise ValueError("output dims must be >= 1")
+    in_h, in_w = gray.shape
+    if (in_w, in_h) == (out_w, out_h):
+        return gray.copy()
+    y0, y1, x0, x1, wx0, wx1, wy0, wy1 = _resample_plan(in_w, in_h, out_w, out_h)
+    rows = gray[y0]
+    top = rows[:, x0] * wx0
+    top += rows[:, x1] * wx1
+    rows = gray[y1]
+    bot = rows[:, x0] * wx0
+    bot += rows[:, x1] * wx1
+    top *= wy0
+    bot *= wy1
+    top += bot
+    top += 0.5
+    return np.floor(top, out=top).astype(np.uint8)
 
 
 # --- PPM / PGM codec ----------------------------------------------------------

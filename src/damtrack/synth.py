@@ -572,22 +572,31 @@ def read_gt_file(path: str) -> tuple[list[Box | None], list[bool]]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if int(rec["t"]) != len(boxes):
+            try:
+                rec = json.loads(line)
+                t = int(rec["t"])
+                hidden = bool(rec.get("occluded"))
+                box = None if hidden else Box.from_dict(rec["box"])
+            except (KeyError, ValueError, TypeError) as e:
+                raise ValueError(
+                    f"{path}:{line_no}: bad ground-truth record ({e!r})"
+                ) from None
+            if t != len(boxes):
                 raise ValueError(f"{path}:{line_no}: non-contiguous frame index")
-            if rec.get("occluded"):
-                boxes.append(None)
-                occluded.append(True)
-            else:
-                boxes.append(Box.from_dict(rec["box"]))
-                occluded.append(False)
+            boxes.append(box)
+            occluded.append(hidden)
     return boxes, occluded
 
 
 def read_events_file(path: str) -> list[tuple[int, int]]:
+    """Occlusion events as (start, end) frame pairs."""
     with open(path, "r", encoding="ascii") as f:
-        data = json.load(f)
-    return [(int(e["start"]), int(e["end"])) for e in data["occlusions"]]
+        try:
+            data = json.load(f)
+            return [(int(e["start"]), int(e["end"]))
+                    for e in data["occlusions"]]
+        except (KeyError, ValueError, TypeError) as e:
+            raise ValueError(f"{path}: bad events file ({e!r})") from None
 
 
 # --- spec (de)serialization ---------------------------------------------------

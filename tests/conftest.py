@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny deterministic scenes and scenario specs.
+"""Shared fixtures: tiny deterministic scenes, scenario specs and HSV oracles.
 
 All randomness is seeded; nothing here depends on wall clock or filesystem
 state outside pytest's tmp_path machinery.
@@ -36,6 +36,54 @@ def make_scene(width: int, height: int, boxes: list[tuple[Box, int]],
         w, h = int(box.w), int(box.h)
         canvas[y:y + h, x:x + w] = make_block_patch(w, h, seed)
     return Frame(canvas, index=index)
+
+
+# --- HSV oracles ---------------------------------------------------------------
+
+
+def to_hsv(pixel) -> tuple[float, float, float]:
+    """Hexcone HSV of one 8-bit RGB pixel: h in [0, 360), s and v in [0, 1].
+
+    Hue is defined as 0 for achromatic pixels (s = 0).
+    """
+    r, g, b = (int(c) for c in pixel)
+    mx = max(r, g, b)
+    mn = min(r, g, b)
+    delta = mx - mn
+    v = mx / 255.0
+    s = 0.0 if mx == 0 else delta / mx
+    if delta == 0:
+        h = 0.0
+    elif mx == r:
+        h = (60.0 * ((g - b) / delta)) % 360.0
+    elif mx == g:
+        h = 60.0 * ((b - r) / delta + 2.0)
+    else:
+        h = 60.0 * ((r - g) / delta + 4.0)
+    return h, s, v
+
+
+def hsv_channels(patch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized hexcone conversion of an RGB patch; same conventions as to_hsv.
+
+    This is the float64 conversion ``appearance.hsv_histogram`` once binned;
+    the histogram must still bin every pixel exactly as this does.
+    """
+    rgb = patch.astype(np.float64)
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    mx = rgb.max(axis=-1)
+    mn = rgb.min(axis=-1)
+    delta = mx - mn
+    safe = np.where(delta == 0, 1.0, delta)
+    h = np.where(
+        mx == r,
+        ((g - b) / safe) % 6.0,
+        np.where(mx == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0),
+    )
+    h = np.where(delta == 0, 0.0, 60.0 * h)
+    s = np.where(mx == 0, 0.0, delta / np.where(mx == 0, 1.0, mx))
+    v = mx / 255.0
+    return h, s, v
 
 
 @pytest.fixture

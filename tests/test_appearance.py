@@ -14,12 +14,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.signal import fftconvolve
 
 import damtrack
-from conftest import make_block_patch, make_scene
+from conftest import hsv_channels, make_block_patch, make_scene, to_hsv
 from damtrack.appearance import (DESCRIPTOR_LEN, HUE_BINS, PATCH_SIDE,
                                  SAT_BINS, compute_descriptor, cosine,
                                  hsv_histogram, ncc_scores, ncc_search)
 from damtrack.geometry import Box
-from damtrack.media import Frame, to_hsv
+from damtrack.media import Frame
 
 
 # --- histogram ----------------------------------------------------------------
@@ -35,6 +35,55 @@ def brute_force_histogram(patch: np.ndarray) -> np.ndarray:
             sb = min(int(s * SAT_BINS), SAT_BINS - 1)
             hist[hb * SAT_BINS + sb] += 1
     return hist / hist.sum()
+
+
+def oracle_histogram(patch: np.ndarray) -> np.ndarray:
+    """Histogram of the float64 ``hsv_channels`` conversion, binned as before."""
+    h, s, _ = hsv_channels(patch)
+    hue_bin = np.minimum((h / (360.0 / HUE_BINS)).astype(int), HUE_BINS - 1)
+    sat_bin = np.minimum((s * SAT_BINS).astype(int), SAT_BINS - 1)
+    flat = (hue_bin * SAT_BINS + sat_bin).ravel()
+    hist = np.bincount(flat, minlength=HUE_BINS * SAT_BINS).astype(np.float64)
+    return hist / hist.sum()
+
+
+# colours on the branch edges: gray (delta 0), black, primaries, secondaries,
+# and ties between the largest channels
+_EDGE_COLOURS = [(0, 0, 0), (255, 255, 255), (7, 7, 7), (255, 0, 0),
+                 (0, 255, 0), (0, 0, 255), (255, 255, 0), (0, 255, 255),
+                 (255, 0, 255), (200, 200, 10), (10, 200, 200),
+                 (200, 10, 200), (1, 0, 0), (255, 254, 0), (255, 0, 1)]
+
+
+@st.composite
+def hsv_patches(draw):
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    colour = st.sampled_from(_EDGE_COLOURS) | st.tuples(
+        *[st.integers(0, 255)] * 3)
+    kind = draw(st.sampled_from(["random", "edges", "gray", "crop"]))
+    if kind == "edges":
+        palette = np.array(draw(st.lists(colour, min_size=1, max_size=6)),
+                           dtype=np.uint8)
+        idx = draw(arrays(np.intp, (h, w),
+                          elements=st.integers(0, len(palette) - 1)))
+        return palette[idx]
+    if kind == "gray":
+        v = draw(arrays(np.uint8, (h, w)))
+        return np.repeat(v[:, :, None], 3, axis=2)
+    if kind == "crop":
+        # a window of a larger frame, as crop_patch returns it
+        frame = draw(arrays(np.uint8, (h + 3, w + 5, 3)))
+        y0 = draw(st.integers(0, 3))
+        x0 = draw(st.integers(0, 5))
+        return frame[y0:y0 + h, x0:x0 + w]
+    return draw(arrays(np.uint8, (h, w, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hsv_patches())
+def test_histogram_matches_float_oracle_bitwise(patch):
+    assert np.array_equal(hsv_histogram(patch), oracle_histogram(patch))
 
 
 def test_histogram_matches_brute_force(rng):

@@ -1,0 +1,147 @@
+"""Command-line error paths: a bad input file exits 1, names the file (and
+the line, for JSONL), and leaves no output behind."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from conftest import tiny_scenario
+from damtrack.cli import main
+from damtrack.synth import scenario_spec_to_dict
+
+_BOX = {"x": 10.0, "y": 12.0, "w": 8.0, "h": 6.0}
+
+
+def _jsonl(path, records) -> str:
+    path.write_text("".join(
+        r if isinstance(r, str) else json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+@pytest.fixture
+def eval_inputs(tmp_path):
+    """A valid two-frame prediction, ground truth and events file."""
+    pred = _jsonl(tmp_path / "pred.jsonl", [
+        {"t": 0, "box": _BOX, "mode": "stable"},
+        {"t": 1, "box": _BOX, "mode": "holding"},
+    ])
+    gt = _jsonl(tmp_path / "gt.jsonl", [
+        {"t": 0, "box": _BOX},
+        {"t": 1, "occluded": True},
+    ])
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps({"occlusions": [{"start": 1, "end": 2}]}))
+    return {"pred": pred, "gt": gt, "events": str(events),
+            "out": str(tmp_path / "report.json")}
+
+
+def _eval(files: dict) -> int:
+    return main(["eval", "--pred", files["pred"], "--gt", files["gt"],
+                 "--events", files["events"], "--out", files["out"]])
+
+
+def _assert_failed(code: int, capsys, fragment: str, out_path) -> None:
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert fragment in err
+    assert not out_path.exists()
+
+
+def test_eval_valid_inputs(eval_inputs):
+    assert _eval(eval_inputs) == 0
+    with open(eval_inputs["out"]) as f:
+        report = json.load(f)
+    assert report["frames"] == 2
+    assert report["mean_iou"] == 1.0
+    assert report["events"] == 1
+
+
+@pytest.mark.parametrize("line", [
+    '{"t": 1, "mode": "stable"}\n',                       # no box
+    '{"t": 1, "box": {"x": 1, "y": 2, "w": 3}, "mode": "stable"}\n',
+    '{"t": 1, "box": null, "mode": "stable"}\n',
+    '{"t": 1, "box": {"x": 1, "y": 2, "w": 3, "h": 4}}\n',  # no mode
+    '{"t": "one", "box": {"x": 1, "y": 2, "w": 3, "h": 4}, "mode": "x"}\n',
+    '[1, 2]\n',
+    '{"t": 1, "box": \n',                                 # not JSON
+], ids=["no_box", "short_box", "null_box", "no_mode", "bad_t", "not_object",
+        "not_json"])
+def test_eval_bad_track_record_names_file_and_line(eval_inputs, tmp_path,
+                                                   capsys, line):
+    good = {"t": 0, "box": _BOX, "mode": "stable"}
+    eval_inputs["pred"] = _jsonl(tmp_path / "bad_pred.jsonl", [good, line])
+    code = _eval(eval_inputs)
+    _assert_failed(code, capsys, f"{eval_inputs['pred']}:2: bad track record",
+                   tmp_path / "report.json")
+
+
+@pytest.mark.parametrize("line", [
+    '{"t": 1}\n',                                         # neither box nor flag
+    '{"t": 1, "box": {"x": 1, "y": 2}}\n',
+    '{"box": {"x": 1, "y": 2, "w": 3, "h": 4}}\n',        # no t
+    '"t"\n',
+    'not json\n',
+], ids=["no_box", "short_box", "no_t", "not_object", "not_json"])
+def test_eval_bad_gt_record_names_file_and_line(eval_inputs, tmp_path,
+                                                capsys, line):
+    eval_inputs["gt"] = _jsonl(tmp_path / "bad_gt.jsonl",
+                               [{"t": 0, "box": _BOX}, line])
+    code = _eval(eval_inputs)
+    _assert_failed(code, capsys,
+                   f"{eval_inputs['gt']}:2: bad ground-truth record",
+                   tmp_path / "report.json")
+
+
+@pytest.mark.parametrize("content", [
+    '{"occlusions": [{"start": 1}]}',
+    '{"events": []}',
+    '[]',
+    '{"occlusions": [{"start": 1, "end": "two"}]}',
+    '{"occlusions": ',
+], ids=["no_end", "no_occlusions", "not_object", "bad_end", "not_json"])
+def test_eval_bad_events_file_names_file(eval_inputs, tmp_path, capsys,
+                                         content):
+    path = tmp_path / "bad_events.json"
+    path.write_text(content)
+    eval_inputs["events"] = str(path)
+    code = _eval(eval_inputs)
+    _assert_failed(code, capsys, f"{path}: bad events file",
+                   tmp_path / "report.json")
+
+
+def _spec_with(**changes) -> dict:
+    data = scenario_spec_to_dict(tiny_scenario(occ_len=0))
+    for key, value in changes.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return data
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps(_spec_with(name=None)),                    # missing key
+    json.dumps(_spec_with(seed="many")),
+    json.dumps(_spec_with(dims=7)),
+    json.dumps(_spec_with(target=[1, 2])),
+    json.dumps([1, 2]),
+    '{"name": "x", ',                                     # not JSON
+], ids=["no_name", "bad_seed", "bad_dims", "bad_target", "not_object",
+        "not_json"])
+def test_synth_bad_spec_names_file(tmp_path, capsys, content):
+    spec = tmp_path / "spec.json"
+    spec.write_text(content)
+    out = tmp_path / "out"
+    code = main(["synth", "--spec", str(spec), "--out", str(out)])
+    _assert_failed(code, capsys, f"{spec}: bad scenario spec", out)
+
+
+def test_synth_valid_spec(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec_with()))
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+    assert (out / "tiny" / "gt.jsonl").is_file()

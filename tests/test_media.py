@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_scene
+from conftest import hsv_channels, make_scene, to_hsv
+from damtrack import media
 from damtrack.geometry import Box, FrameDims
 from damtrack.media import (Frame, MediaError, crop_patch, crop_rect,
-                            hsv_channels, label_color, load_sequence,
-                            read_pnm, resample, to_gray, to_hsv,
-                            write_annotated, write_pnm)
+                            label_color, load_sequence, read_pnm, resample,
+                            to_gray, write_annotated, write_pnm)
 
 
-# --- gray and HSV -------------------------------------------------------------
+# --- gray and the HSV oracles -------------------------------------------------
 
 
 def test_to_gray_known_values():
@@ -108,6 +108,65 @@ def test_crop_patch():
 
 
 # --- resampling ---------------------------------------------------------------
+
+
+def reference_resample(gray: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """The float64 ``np.ix_`` resampler that ``media.resample`` must match bitwise."""
+    in_h, in_w = gray.shape
+    if (in_w, in_h) == (out_w, out_h):
+        return gray.copy()
+    src = gray.astype(np.float64)
+    xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
+    ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
+    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
+    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    fx = np.clip(xs - x0, 0.0, 1.0)
+    fy = np.clip(ys - y0, 0.0, 1.0)
+    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
+    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
+    out = top * (1 - fy[:, None]) + bot * fy[:, None]
+    return np.floor(out + 0.5).astype(np.uint8)
+
+
+@st.composite
+def resample_cases(draw):
+    dim = st.integers(1, 200)
+    in_w, in_h = draw(dim), draw(dim)
+    out_w = draw(st.just(in_w) | dim)
+    out_h = draw(st.just(in_h) | dim)
+    # a non-contiguous input is every other column of a wider array
+    step = draw(st.sampled_from([1, 2]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = np.random.default_rng(seed).integers(
+        0, 256, size=(in_h, in_w * step), dtype=np.uint8)
+    return base[:, ::step], out_w, out_h
+
+
+@settings(max_examples=300, deadline=None)
+@given(resample_cases())
+def test_resample_matches_reference_bitwise(case):
+    gray, out_w, out_h = case
+    want = reference_resample(gray, out_w, out_h)
+    # the second call with the same dims reads the cached plan
+    for _ in range(2):
+        got = resample(gray, out_w, out_h)
+        assert got.dtype == np.uint8
+        assert got.shape == (out_h, out_w)
+        assert np.array_equal(got, want)
+
+
+def test_resample_plan_is_read_only():
+    plan = media._resample_plan(45, 45, 16, 16)
+    assert len(plan) == 8
+    for a in plan:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert media._resample_plan(45, 45, 16, 16) is plan
+
+
 
 
 def test_resample_identity_is_exact(rng):
