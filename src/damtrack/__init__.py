@@ -1,16 +1,17 @@
 """Detection-guided single-object tracking with distractor-aware memory.
 
 A lightweight tracking pipeline over axis-aligned boxes: a template tracker
-propagates frame to frame, a sparse detection source corrects drift, a
-dual-buffer appearance memory separates the target from look-alikes, and a
-staged recovery cascade re-acquires the target after occlusion. Ships with a
+propagates frame to frame, a sparse detection source corrects drift, a held
+box dead-reckons through occlusion, a dual-buffer appearance memory separates
+the target from look-alikes, and a staged recovery cascade re-acquires the
+target after occlusion. Ships with a
 deterministic synthetic scenario generator and a benchmark harness, so the
 whole stack runs end to end without any learned model.
 """
 
 from .appearance import compute_descriptor, cosine, ncc_scores, ncc_search
 from .bench import (capacity_configs, ladder_configs, run_disk_scenario,
-                    run_scenario, suite_report)
+                    suite_report)
 from .config import (config_from_dict, config_to_dict, load_config,
                      save_config, scale_thresholds)
 from .detection import (Detection, DetectionSet, DetectorInterface,
@@ -23,16 +24,15 @@ from .media import (Frame, MediaError, load_sequence, read_pnm,
                     write_annotated, write_pnm)
 from .memory import (DamConfig, DistractorAwareMemory, DrmEntry, NegativeBank,
                      RamEntry, penalized_score, score_anchor)
-from .metrics import (RecoveryStats, SequenceResult, Throughput, evaluate,
-                      mean_iou, recovery_stats, robustness, summarize,
-                      throughput)
+from .metrics import (RecoveryStats, SequenceResult, evaluate, mean_iou,
+                      recovery_stats, robustness, summarize)
 from .pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig, TrackOutput,
                        TrackerSession, run_sequence)
 from .synth import (NoiseSpec, ObjectSpec, OcclusionSpec, ScenarioOutput,
                     ScenarioSpec, SplitMix64, generate, read_events_file,
                     read_gt_file, scenario_spec_from_dict,
                     scenario_spec_to_dict, standard_suite, write_scenario)
-from .tracker import MotionEstimator, TemplateTracker, lk_flow, shi_tomasi_corners
+from .tracker import MotionEstimator, TemplateTracker
 
 __version__ = "0.1.0"
 
@@ -47,18 +47,18 @@ __all__ = [
     "Detection", "DetectionSet", "SourceConfig", "DetectorInterface",
     "ScriptedDetector", "filter_confident", "nms", "schedule", "provide",
     "read_detections_file", "write_detections_file",
-    "TemplateTracker", "MotionEstimator", "shi_tomasi_corners", "lk_flow",
+    "TemplateTracker", "MotionEstimator",
     "PipelineConfig", "TrackerSession", "TrackOutput", "run_sequence",
     "MODE_NORMAL", "MODE_HOLDING",
     "ScenarioSpec", "ObjectSpec", "OcclusionSpec", "NoiseSpec",
     "ScenarioOutput", "SplitMix64", "generate", "standard_suite",
     "write_scenario", "read_gt_file", "read_events_file",
     "scenario_spec_from_dict", "scenario_spec_to_dict",
-    "SequenceResult", "RecoveryStats", "Throughput", "evaluate", "mean_iou",
-    "robustness", "recovery_stats", "throughput", "summarize",
+    "SequenceResult", "RecoveryStats", "evaluate", "mean_iou",
+    "robustness", "recovery_stats", "summarize",
     "config_from_dict", "config_to_dict", "load_config", "save_config",
     "scale_thresholds",
-    "run_scenario", "run_disk_scenario", "suite_report", "ladder_configs",
+    "run_disk_scenario", "suite_report", "ladder_configs",
     "capacity_configs",
     "__version__",
 ]

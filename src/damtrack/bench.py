@@ -1,6 +1,5 @@
-"""Suite benchmarking: run the tracking session over scenarios and collect
-metrics. Works from in-memory scenario outputs or from scenario directories
-on disk, so tests and the command line share one code path."""
+"""Suite benchmarking: run the tracking session over scenario directories
+on disk and collect metrics."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from .detection import ScriptedDetector
 from .media import load_sequence
 from .metrics import SequenceResult, evaluate, summarize
 from .pipeline import PipelineConfig, TrackerSession, run_sequence
-from .synth import ScenarioOutput, read_events_file, read_gt_file
+from .synth import read_events_file, read_gt_file
 
 
 class ScenarioRun:
@@ -25,16 +24,6 @@ class ScenarioRun:
         self.result = result
         self.events = list(events)
         self.session = session
-
-
-def run_scenario(out: ScenarioOutput, config: PipelineConfig) -> ScenarioRun:
-    detector = ScriptedDetector(out.detections)
-    gt = [None if occ else box
-          for box, occ in zip(out.gt_boxes, out.occluded)]
-    outputs, times, session = run_sequence(
-        out.frames(), out.init_box, detector, config)
-    result = evaluate(outputs, gt, times)
-    return ScenarioRun(out.spec.name, result, out.events, session)
 
 
 def run_disk_scenario(path: str, config: PipelineConfig) -> ScenarioRun:

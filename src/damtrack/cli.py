@@ -130,25 +130,35 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.spec is not None:
         with open(args.spec, "r", encoding="ascii") as f:
             try:
-                specs = [scenario_spec_from_dict(json.load(f))]
+                spec = scenario_spec_from_dict(json.load(f))
             except (KeyError, ValueError, TypeError) as e:
                 raise ValueError(
                     f"{args.spec}: bad scenario spec ({e!r})") from None
+        try:
+            scenarios = [generate(spec)]
+        except ValueError as e:
+            raise ValueError(f"{args.spec}: {e}") from None
     else:
-        specs = standard_suite()
-    for spec in specs:
-        target = os.path.join(args.out, spec.name)
-        write_scenario(generate(spec), target)
-        print(f"wrote {target} ({spec.length} frames)", file=sys.stderr)
+        scenarios = (generate(spec) for spec in standard_suite())
+    for scenario in scenarios:
+        target = os.path.join(args.out, scenario.spec.name)
+        write_scenario(scenario, target)
+        print(f"wrote {target} ({scenario.spec.length} frames)",
+              file=sys.stderr)
     return 0
 
 
-def _parse_ablate(text: str) -> list[tuple[str, int]]:
+def _parse_ablate(text: str) -> list[int]:
+    """The capacities of a "ram_drm=N,N,..." sweep, each at least 1."""
     field, _, values = text.partition("=")
-    if field != "ram_drm" or not values:
+    try:
+        capacities = [int(v) for v in values.split(",")]
+    except ValueError:
+        capacities = []
+    if field != "ram_drm" or not capacities or min(capacities) < 1:
         raise ValueError(
             f'bad --ablate {text!r}: expected "ram_drm=N,N,..."')
-    return [("ram_drm", int(v)) for v in values.split(",")]
+    return capacities
 
 
 def _bench_variants(args: argparse.Namespace,
@@ -157,7 +167,7 @@ def _bench_variants(args: argparse.Namespace,
     if chosen > 1:
         raise ValueError("--ablate, --perturb, and --ladder are exclusive")
     if args.ablate:
-        return capacity_configs(base, [v for _f, v in _parse_ablate(args.ablate)])
+        return capacity_configs(base, _parse_ablate(args.ablate))
     if args.ladder:
         return ladder_configs(base)
     if args.perturb:

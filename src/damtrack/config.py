@@ -9,7 +9,6 @@ defaults filling the rest.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 from .detection import SourceConfig
 from .memory import DamConfig

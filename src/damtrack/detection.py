@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .geometry import Box, FrameDims, iou, roi_crop
+from .geometry import Box, iou, roi_crop
 from .media import Frame
 
 

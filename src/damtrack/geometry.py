@@ -134,11 +134,6 @@ def roi_crop(prev: Box, kappa: float, frame: FrameDims) -> Box:
     return clamp_to_frame(raw, frame)
 
 
-def to_frame_coords(box_in_crop: Box, crop: Box) -> Box:
-    """Map a box expressed in crop-local coordinates back to full-frame coordinates."""
-    return Box(box_in_crop.x + crop.x, box_in_crop.y + crop.y, box_in_crop.w, box_in_crop.h)
-
-
 def norm_displacement(a: Box, b: Box) -> float:
     """Center distance between ``a`` and ``b``, normalized by the diagonal of ``b``.
 

@@ -230,7 +230,7 @@ def _read_png(path: str) -> np.ndarray:
 _SEQUENCE_EXTENSIONS = (".ppm", ".pgm", ".png")
 
 
-def load_sequence(path: str, allow_png: bool = True) -> Iterator[Frame]:
+def load_sequence(path: str) -> Iterator[Frame]:
     """Yield frames from an image directory in lexicographic filename order.
 
     All frames must share dimensions; grayscale inputs are expanded to RGB.
@@ -247,8 +247,6 @@ def load_sequence(path: str, allow_png: bool = True) -> Iterator[Frame]:
     for index, name in enumerate(names):
         full = os.path.join(path, name)
         if name.lower().endswith(".png"):
-            if not allow_png:
-                raise MediaError(f"{full}: PNG input disabled")
             pixels = _read_png(full)
         else:
             pixels = read_pnm(full)

@@ -1,4 +1,4 @@
-"""Tracking metrics: per-frame IoU traces, robustness, recovery, throughput.
+"""Tracking metrics: per-frame IoU traces, robustness, recovery, suite rollup.
 
 Scoring conventions: frames whose ground truth is occluded carry no IoU and
 are excluded from accuracy metrics. Robustness is the fraction of scored
@@ -100,25 +100,6 @@ def recovery_stats(result: SequenceResult, events: list[tuple[int, int]],
         latencies=latencies,
         recovered=recovered,
         total=len(events),
-    )
-
-
-@dataclass
-class Throughput:
-    fps: float
-    p50_ms: float
-    p95_ms: float
-    frames: int
-
-
-def throughput(result: SequenceResult) -> Throughput:
-    total = sum(result.times)
-    ms = np.array(result.times) * 1000.0
-    return Throughput(
-        fps=len(result.times) / total if total > 0 else float("inf"),
-        p50_ms=float(np.percentile(ms, 50)),
-        p95_ms=float(np.percentile(ms, 95)),
-        frames=len(result.times),
     )
 
 

@@ -144,12 +144,12 @@ class TrackerSession:
         self.motion = MotionEstimator()
         self.dam = DistractorAwareMemory(self.cfg.dam)
         self.t = -1
+        self.dims: FrameDims | None = None
         self.estimate: Box | None = None
         self.mode = MODE_NORMAL
         self.held: Box | None = None
         self.occ_flag = False
         self.last_set = DetectionSet(0, [])
-        self.prev_frame: Frame | None = None
         self.last_verified_descriptor: Descriptor | None = None
         self.last_verified_template: np.ndarray | None = None
 
@@ -160,14 +160,14 @@ class TrackerSession:
         dims = frame.dims
         if b0.x < 0 or b0.y < 0 or b0.x2 > dims.width or b0.y2 > dims.height:
             raise ValueError(f"init box {b0} is not inside the {dims} frame")
-        self.tracker.init(frame, b0)
+        self.tracker.reinit(frame, b0)
         desc = compute_descriptor(frame, b0)
         # the init box is ground truth: admitted against itself
         self.dam.ram_admit(b0, desc, b0, 0)
         self._refresh_verified(frame, b0, desc)
         self.t = 0
+        self.dims = dims
         self.estimate = b0
-        self.prev_frame = frame
         self.mode = MODE_NORMAL
         self.held = None
         self.occ_flag = False
@@ -181,6 +181,9 @@ class TrackerSession:
         t = self.t + 1
         if frame.index != t:
             raise ValueError(f"expected frame index {t}, got {frame.index}")
+        if frame.dims != self.dims:
+            raise ValueError(f"frame {t} dims {frame.dims} differ from the "
+                             f"init frame's {self.dims}")
         cfg = self.cfg
         prev = self.estimate
 
@@ -195,15 +198,9 @@ class TrackerSession:
             dets = DetectionSet(t, [])
         self.last_set = dets
 
-        # 2. propagate and estimate motion. The session runs the estimator
-        # in dead-reckoning mode: instantaneous flow at the previous box is
-        # exactly wrong at the frames where it would be consumed, because a
-        # covered or failing box yields confident zero flow at the
-        # occluder's cut edge, while the displacement EMA keeps the last
-        # reliable motion.
+        # 2. propagate and dead-reckon the motion
         b_trk, conf = self.tracker.update(frame)
-        v = self.motion.estimate_velocity(self.prev_frame, frame, prev,
-                                          use_flow=False)
+        v = self.motion.estimate_velocity(prev)
 
         # 3. crowding and switch test
         o_boxes = detect_occlusion_set(dets, prev, cfg.tau_occ)
@@ -216,7 +213,6 @@ class TrackerSession:
 
         self.t = t
         self.estimate = out.box
-        self.prev_frame = frame
         return out
 
     # -- stable path -----------------------------------------------------------

@@ -463,7 +463,8 @@ def _lerp_color(base: tuple[int, int, int], toward: tuple[int, int, int],
 
 
 def _target_spec(y0: float, y1: float, length: int) -> ObjectSpec:
-    # 2 px/frame: comfortably inside the single-level flow capture range
+    # 2 px/frame: half of MAX_SPEED, far inside the tracker search margin
+    # (0.75 box widths per side)
     return ObjectSpec(
         color=TARGET_COLOR,
         evolve_rate=EVOLVE_RATE,

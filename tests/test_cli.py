@@ -1,15 +1,20 @@
-"""Command-line error paths: a bad input file exits 1, names the file (and
-the line, for JSONL), and leaves no output behind."""
+"""Command-line runs and error paths: a bad input file or flag exits 1,
+names the file (and the line, for JSONL) or the flag, and leaves no output
+behind."""
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from conftest import tiny_scenario
+from damtrack.bench import ladder_configs
 from damtrack.cli import main
-from damtrack.synth import scenario_spec_to_dict
+from damtrack.config import save_config
+from damtrack.pipeline import PipelineConfig
+from damtrack.synth import generate, scenario_spec_to_dict, write_scenario
 
 _BOX = {"x": 10.0, "y": 12.0, "w": 8.0, "h": 6.0}
 
@@ -145,3 +150,85 @@ def test_synth_valid_spec(tmp_path):
     out = tmp_path / "out"
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
     assert (out / "tiny" / "gt.jsonl").is_file()
+
+
+def test_synth_spec_rejected_by_generate_names_file(tmp_path, capsys):
+    # a 4-frame copy of the tiny scenario moves its target about 10 px/frame
+    data = scenario_spec_to_dict(tiny_scenario(length=4, occ_len=0))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = main(["synth", "--spec", str(spec), "--out", str(out)])
+    _assert_failed(code, capsys, f"error: {spec}: tiny: target exceeds", out)
+
+
+# --- bench --------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def suite_dir(tmp_path_factory) -> str:
+    """A one-scenario suite on disk, with the default config file beside it."""
+    suite = tmp_path_factory.mktemp("suite")
+    write_scenario(generate(tiny_scenario()), str(suite / "tiny"))
+    save_config(str(suite / "config.json"), PipelineConfig())
+    return str(suite)
+
+
+def _bench(suite_dir: str, out, *flags: str, suite: str | None = None) -> int:
+    # an explicit config keeps the defaults notice off stderr
+    return main(["bench", "--suite", suite or suite_dir,
+                 "--config", os.path.join(suite_dir, "config.json"),
+                 "--out", str(out), *flags])
+
+
+def _rows(out) -> list[dict]:
+    with open(out) as f:
+        return json.load(f)["rows"]
+
+
+def test_bench_default_row(suite_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert _bench(suite_dir, out) == 0
+    (row,) = _rows(out)
+    assert row["config"] == "default"
+    summary = row["summary"]
+    assert summary["scenarios"] == 1
+    for key in ("mean_iou", "robustness", "recovery_rate"):
+        assert 0.0 <= summary[key] <= 1.0
+    assert summary["timing"]["fps"] > 0
+
+
+def test_bench_ladder_rows(suite_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert _bench(suite_dir, out, "--ladder") == 0
+    names = [name for name, _cfg in ladder_configs(PipelineConfig())]
+    assert [row["config"] for row in _rows(out)] == names
+
+
+def test_bench_ablate_rows(suite_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert _bench(suite_dir, out, "--ablate", "ram_drm=2,4") == 0
+    assert [row["config"] for row in _rows(out)] == ["ram_drm=2", "ram_drm=4"]
+
+
+def test_bench_exclusive_flags(suite_dir, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = _bench(suite_dir, out, "--ladder", "--ablate", "ram_drm=2")
+    _assert_failed(code, capsys, "exclusive", out)
+
+
+@pytest.mark.parametrize("value", [
+    "ram_drm=a", "ram_drm=0", "ram_drm=2,-1", "ram_drm=", "ram_drm=2.5",
+    "ram=2", "2,4",
+])
+def test_bench_bad_ablate_names_flag(suite_dir, tmp_path, capsys, value):
+    out = tmp_path / "report.json"
+    code = _bench(suite_dir, out, "--ablate", value)
+    _assert_failed(code, capsys, f"bad --ablate {value!r}", out)
+
+
+def test_bench_missing_suite(suite_dir, tmp_path, capsys):
+    missing = tmp_path / "no_suite"
+    out = tmp_path / "report.json"
+    code = _bench(suite_dir, out, suite=str(missing))
+    _assert_failed(code, capsys, str(missing), out)

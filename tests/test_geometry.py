@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from damtrack.geometry import (Box, FrameDims, Vec2, area, clamp_to_frame,
-                               iou, norm_displacement, roi_crop,
-                               to_frame_coords, union_bbox)
+                               iou, norm_displacement, roi_crop, union_bbox)
 
 
 def rasterized_iou(a: Box, b: Box, grid: int = 64) -> float:
@@ -114,13 +113,6 @@ def test_roi_crop_clamps_at_border():
     roi = roi_crop(Box(0, 0, 20, 20), 3.0, dims)
     assert roi.x == 0 and roi.y == 0
     assert roi.x2 <= 100 and roi.y2 <= 100
-
-
-def test_to_frame_coords():
-    crop = Box(50, 60, 40, 40)
-    local = Box(5, 10, 8, 8)
-    mapped = to_frame_coords(local, crop)
-    assert (mapped.x, mapped.y, mapped.w, mapped.h) == (55, 70, 8, 8)
 
 
 def test_norm_displacement_hand_value():

@@ -1,4 +1,4 @@
-"""Scoring: IoU traces, robustness, event recovery, throughput, suite rollup."""
+"""Scoring: IoU traces, robustness, event recovery, suite rollup."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ import pytest
 
 from damtrack.geometry import Box
 from damtrack.metrics import (RECOVERY_IOU, SequenceResult, evaluate, mean_iou,
-                              recovery_stats, robustness, summarize,
-                              throughput)
+                              recovery_stats, robustness, summarize)
 from damtrack.pipeline import TrackOutput
 
 
@@ -114,17 +113,6 @@ def test_recovery_scan_truncated_by_next_event():
 def test_recovery_requires_events():
     with pytest.raises(ValueError):
         recovery_stats(seq([0.9]), [])
-
-
-# --- throughput ---------------------------------------------------------------
-
-
-def test_throughput_known_values():
-    t = throughput(seq([0.5] * 4, times=[0.01, 0.01, 0.03, 0.05]))
-    assert t.fps == pytest.approx(4 / 0.10)
-    assert t.p50_ms == pytest.approx(20.0)
-    assert t.frames == 4
-    assert throughput(seq([0.5], times=[0.0])).fps == float("inf")
 
 
 # --- suite summary ------------------------------------------------------------

@@ -152,6 +152,16 @@ def test_step_ordering_errors():
         session.step(scene(5, (40, 30)))  # expected index 1
 
 
+def test_step_rejects_frame_of_other_dims():
+    session = TrackerSession(ScriptedDetector({}))
+    session.init(scene(0, (40, 30)), Box(40, 30, 32, 32))
+    for dims in [(240, 150), (200, 160)]:
+        with pytest.raises(ValueError, match="differ from the init frame"):
+            session.step(scene(1, (40, 30), dims=dims))
+    # a rejected frame leaves the session where it was
+    assert session.step(scene(1, (40, 30))).t == 1
+
+
 def test_run_sequence_empty_raises():
     with pytest.raises(ValueError):
         run_sequence([], Box(0, 0, 5, 5), ScriptedDetector({}))

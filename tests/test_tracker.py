@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from conftest import make_block_patch, make_scene
-from damtrack.geometry import Box, Vec2
+from conftest import make_scene
+from damtrack.geometry import Box
 from damtrack.media import Frame
-from damtrack.tracker import (MotionEstimator, TemplateTracker, lk_flow,
-                              shi_tomasi_corners)
+from damtrack.tracker import MotionEstimator, TemplateTracker
 
 
-def scene_with_patch(x: int, y: int, seed: int = 11, side: int = 32,
-                     index: int = 0) -> Frame:
-    return make_scene(160, 120, [(Box(x, y, side, side), seed)], index=index)
+def scene_with_patch(x: int, y: int) -> Frame:
+    return make_scene(160, 120, [(Box(x, y, 32, 32), 11)])
 
 
 # --- template tracker ---------------------------------------------------------
@@ -25,7 +22,7 @@ def test_tracker_recovers_known_shift():
     # the exact pixel
     t0 = scene_with_patch(40, 30)
     tracker = TemplateTracker()
-    tracker.init(t0, Box(40, 30, 32, 32))
+    tracker.reinit(t0, Box(40, 30, 32, 32))
     for dx, dy in [(3, 2), (-4, 1), (0, -5)]:
         frame = scene_with_patch(40 + dx, 30 + dy)
         box, conf = tracker.update(frame)
@@ -39,7 +36,7 @@ def test_tracker_recovers_known_shift():
 def test_tracker_confidence_collapses_on_flat_frame():
     t0 = scene_with_patch(40, 30)
     tracker = TemplateTracker()
-    tracker.init(t0, Box(40, 30, 32, 32))
+    tracker.reinit(t0, Box(40, 30, 32, 32))
     flat = make_scene(160, 120, [])
     _box, conf = tracker.update(flat)
     assert conf == 0.0
@@ -52,87 +49,16 @@ def test_tracker_update_before_init_raises():
 
 def test_tracker_init_off_frame_raises():
     with pytest.raises(ValueError):
-        TemplateTracker().init(scene_with_patch(10, 10), Box(500, 500, 10, 10))
+        TemplateTracker().reinit(scene_with_patch(10, 10), Box(500, 500, 10, 10))
 
 
 def test_tracker_last_box_advances():
     t0 = scene_with_patch(40, 30)
     tracker = TemplateTracker()
-    tracker.init(t0, Box(40, 30, 32, 32))
+    tracker.reinit(t0, Box(40, 30, 32, 32))
     moved = scene_with_patch(43, 30)
     box, _conf = tracker.update(moved)
     assert tracker.last_box == box
-
-
-# --- corners ------------------------------------------------------------------
-
-
-def test_corners_flat_patch_empty():
-    flat = np.full((20, 20), 90, dtype=np.uint8)
-    assert shi_tomasi_corners(flat) == []
-    assert shi_tomasi_corners(np.zeros((2, 2), dtype=np.uint8)) == []
-
-
-def test_corners_find_square():
-    img = np.zeros((40, 40), dtype=np.uint8)
-    img[10:30, 12:32] = 255
-    found = shi_tomasi_corners(img, max_n=8)
-    assert len(found) >= 4
-    true_corners = [(12, 10), (31, 29), (12, 29), (31, 10)]
-    for tx, ty in true_corners:
-        assert any(abs(x - tx) <= 2.0 and abs(y - ty) <= 2.0
-                   for x, y in found), (tx, ty)
-
-
-def test_corners_respect_max_and_separation():
-    img = make_block_patch(48, 48, seed=21)[:, :, 0]
-    found = shi_tomasi_corners(img, max_n=5)
-    assert len(found) <= 5
-    for i, (xa, ya) in enumerate(found):
-        for xb, yb in found[i + 1:]:
-            assert (xa - xb) ** 2 + (ya - yb) ** 2 >= 9.0
-
-
-# --- sparse flow --------------------------------------------------------------
-
-
-def smooth_image(rng, h: int = 60, w: int = 80) -> np.ndarray:
-    """Low-frequency random field: LK needs locally linear intensity."""
-    coarse = rng.uniform(0, 255, size=(h // 8 + 2, w // 8 + 2))
-    up = np.kron(coarse, np.ones((8, 8)))[:h + 8, :w + 8]
-    # cheap blur to smooth the block edges
-    k = np.ones(5) / 5
-    up = np.apply_along_axis(lambda r: np.convolve(r, k, mode="same"), 1, up)
-    up = np.apply_along_axis(lambda c: np.convolve(c, k, mode="same"), 0, up)
-    return up[4:h + 4, 4:w + 4].astype(np.uint8)
-
-
-def test_lk_flow_recovers_integer_shift(rng):
-    base = smooth_image(rng)
-    shifted = np.roll(np.roll(base, 1, axis=0), 1, axis=1)
-    points = [(float(x), float(y))
-              for y in range(20, 41, 10) for x in range(20, 61, 20)]
-    flows, valid = lk_flow(base, shifted, points)
-    assert valid.sum() >= len(points) - 2
-    for (dx, dy), ok in zip(flows, valid):
-        if ok:
-            assert dx == pytest.approx(1.0, abs=0.35)
-            assert dy == pytest.approx(1.0, abs=0.35)
-
-
-def test_lk_flow_invalidates_border_and_flat_points(rng):
-    base = smooth_image(rng)
-    flat = np.full_like(base, 50)
-    flows, valid = lk_flow(base, base, [(1.0, 1.0)])  # window off the image
-    assert not valid[0]
-    flows, valid = lk_flow(flat, flat, [(30.0, 30.0)])  # degenerate gradients
-    assert not valid[0]
-
-
-def test_lk_flow_dims_mismatch():
-    with pytest.raises(ValueError):
-        lk_flow(np.zeros((10, 10), dtype=np.uint8),
-                np.zeros((10, 12), dtype=np.uint8), [(5.0, 5.0)])
 
 
 # --- motion estimator ---------------------------------------------------------
@@ -140,78 +66,42 @@ def test_lk_flow_dims_mismatch():
 
 def test_ema_dead_reckoning_math():
     est = MotionEstimator()
-    f_a = scene_with_patch(40, 30, index=0)
-    f_b = scene_with_patch(44, 30, index=1)
     # first call only seeds the origin
-    v = est.estimate_velocity(f_a, f_b, Box(40, 30, 32, 32), use_flow=False)
+    v = est.estimate_velocity(Box(40, 30, 32, 32))
     assert (v.dx, v.dy) == (0.0, 0.0)
     # second call sees displacement (4, 0): ema = 0.25 * 4
-    v = est.estimate_velocity(f_b, f_b, Box(44, 30, 32, 32), use_flow=False)
+    v = est.estimate_velocity(Box(44, 30, 32, 32))
     assert v.dx == pytest.approx(1.0)
     assert v.dy == pytest.approx(0.0)
     # third: ema = 0.75 * 1.0 + 0.25 * 4.0
-    v = est.estimate_velocity(f_b, f_b, Box(48, 30, 32, 32), use_flow=False)
+    v = est.estimate_velocity(Box(48, 30, 32, 32))
     assert v.dx == pytest.approx(1.75)
+    assert v == est.velocity
 
 
 def test_ema_converges_to_constant_velocity():
     est = MotionEstimator()
-    frame = scene_with_patch(0, 0)
     for k in range(60):
-        v = est.estimate_velocity(frame, frame, Box(2.0 * k, 30, 32, 32),
-                                  use_flow=False)
+        v = est.estimate_velocity(Box(2.0 * k, 30, 32, 32))
     assert v.dx == pytest.approx(2.0, abs=1e-3)
     assert v.dy == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rebase_discounts_recovery_jump():
     est = MotionEstimator()
-    frame = scene_with_patch(0, 0)
     for k in range(30):
-        est.estimate_velocity(frame, frame, Box(2.0 * k, 30, 32, 32),
-                              use_flow=False)
+        est.estimate_velocity(Box(2.0 * k, 30, 32, 32))
     v_before = est.velocity
     # a 80 px recovery snap must not register as motion
     est.rebase(Box(140, 30, 32, 32))
-    v = est.estimate_velocity(frame, frame, Box(142, 30, 32, 32),
-                              use_flow=False)
+    v = est.estimate_velocity(Box(142, 30, 32, 32))
     assert v.dx == pytest.approx(0.75 * v_before.dx + 0.25 * 2.0)
 
 
 def test_offset_origin_discounts_realignment():
     est = MotionEstimator()
-    frame = scene_with_patch(0, 0)
-    est.estimate_velocity(frame, frame, Box(50, 30, 32, 32), use_flow=False)
+    est.estimate_velocity(Box(50, 30, 32, 32))
     # hypothesis nudged +3 px onto a detection, then moves 2 px of real motion
     est.offset_origin(3.0, 0.0)
-    v = est.estimate_velocity(frame, frame, Box(55, 30, 32, 32),
-                              use_flow=False)
+    v = est.estimate_velocity(Box(55, 30, 32, 32))
     assert v.dx == pytest.approx(0.25 * 2.0)
-
-
-def test_flow_velocity_end_to_end(rng):
-    base = smooth_image(rng, h=120, w=160)
-    prev = Frame(np.repeat(base[:, :, None], 3, axis=2), index=0)
-    cur_gray = np.roll(base, 2, axis=1)  # 2 px to the right
-    cur = Frame(np.repeat(cur_gray[:, :, None], 3, axis=2), index=1)
-    est = MotionEstimator()
-    v = est.estimate_velocity(prev, cur, Box(60, 40, 40, 40), use_flow=True)
-    assert v.dx == pytest.approx(2.0, abs=0.5)
-    assert v.dy == pytest.approx(0.0, abs=0.5)
-
-
-def test_flow_falls_back_to_ema_on_flat_box():
-    flat = make_scene(100, 100, [])
-    est = MotionEstimator()
-    est.estimate_velocity(flat, flat, Box(10, 10, 20, 20), use_flow=False)
-    v = est.estimate_velocity(flat, flat, Box(13, 10, 20, 20), use_flow=True)
-    # no corners inside a flat box: the EMA (one 3 px sample) is returned
-    assert v.dx == pytest.approx(0.25 * 3.0)
-    assert v == est.velocity
-
-
-def test_estimate_velocity_dims_mismatch():
-    a = make_scene(50, 50, [])
-    b = make_scene(50, 60, [])
-    with pytest.raises(ValueError):
-        MotionEstimator().estimate_velocity(a, b, Box(10, 10, 10, 10))
