@@ -109,7 +109,7 @@ def _spectrum(a: np.ndarray, fshape: tuple[int, ...], axes: tuple[int, ...]
 def _template_terms(data: bytes, dtype: str, shape: tuple[int, int],
                     fshape: tuple[int, ...], axes: tuple[int, ...]
                     ) -> tuple[float, np.ndarray | None]:
-    """Sum of squares and flipped spectrum of the zero-mean template.
+    """Sum of squares and conjugate spectrum of the zero-mean template.
 
     A tracker's template is fixed between reinits, so each is computed once
     per template and FFT shape; the spectrum is None for a flat template.
@@ -119,7 +119,8 @@ def _template_terms(data: bytes, dtype: str, shape: tuple[int, int],
     t_ss = float(np.sum(t0 * t0))
     if t_ss == 0.0:
         return t_ss, None
-    spec = _spectrum(t0[::-1, ::-1], fshape, axes)
+    spec = _spectrum(t0, fshape, axes)
+    np.conjugate(spec, out=spec)
     spec.flags.writeable = False
     return t_ss, spec
 
@@ -130,13 +131,14 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     Output shape is (H-th+1, W-tw+1). Offsets where the window or the template
     has zero variance score 0.
 
-    The correlation is a real FFT product over the axes where the template is
-    longer than 1 (a length-1 axis broadcasts), at fast FFT lengths. Window
-    sums and sums of squares come from float64 integral images, which hold
-    exact integers, so a flat window has exactly zero variance. The later
-    steps work in place, and the result is a view into the inverse FFT.
-    The results equal those of ``scipy.signal.fftconvolve`` in valid mode
-    followed by the same normalisation, bit for bit.
+    The correlation is a real FFT product with the template's conjugate
+    spectrum over the axes where the template is longer than 1 (a length-1
+    axis broadcasts), at the fast FFT length of the region itself: a circular
+    correlation wraps only into lags past ``H-th`` (``W-tw``), which the
+    valid block never reads. Window sums and sums of squares come from
+    float64 integral images, which hold exact integers, so a flat window has
+    exactly zero variance. The later steps work in place, and the result is
+    a view into the inverse FFT.
     """
     th, tw = template.shape
     rh, rw = region_gray.shape
@@ -145,18 +147,17 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
             f"template {tw}x{th} larger than region {rw}x{rh}"
         )
     # sum(w * t0) == sum((w - mean(w)) * t0) because t0 sums to zero; the
-    # convolution with the flipped template gives that sum at every offset,
-    # in its valid block [th-1:rh, tw-1:rw]
-    full = (rh + th - 1, rw + tw - 1)
+    # circular correlation with the template gives that sum at every offset,
+    # in its block [:rh-th+1, :rw-tw+1]
     axes = tuple(a for a in (0, 1) if template.shape[a] > 1)
-    fshape = tuple(sp_fft.next_fast_len(full[a], True) for a in axes)
+    fshape = tuple(sp_fft.next_fast_len((rh, rw)[a], True) for a in axes)
     t_ss, t_spec = _template_terms(template.tobytes(), template.dtype.str,
                                    template.shape, fshape, axes)
     if t_spec is None:
         return np.zeros((rh - th + 1, rw - tw + 1))
     spec = _spectrum(region_gray, fshape, axes)
     spec *= t_spec
-    num = sp_fft.irfftn(spec, fshape, axes=axes)[th - 1:rh, tw - 1:rw]
+    num = sp_fft.irfftn(spec, fshape, axes=axes)[:rh - th + 1, :rw - tw + 1]
     del spec  # each large temporary is freed before the next is allocated
 
     # integral images of the values and of their squares

@@ -80,11 +80,14 @@ def _write_json(path: str, data: dict) -> None:
 
 
 def _parse_init(text: str) -> Box:
+    """The --init box; every error names the whole flag value."""
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f'bad init box {text!r}: expected "x,y,w,h"')
-    x, y, w, h = (float(p) for p in parts)
-    return Box(x, y, w, h)
+    try:
+        if len(parts) != 4:
+            raise ValueError('expected "x,y,w,h"')
+        return Box(*(float(p) for p in parts))
+    except ValueError as e:
+        raise ValueError(f"bad init box {text!r}: {e}") from None
 
 
 def _load_or_default_config(path: str | None) -> PipelineConfig:
@@ -111,15 +114,17 @@ def _cmd_track(args: argparse.Namespace) -> int:
         detector = None
     else:
         detector = ScriptedDetector.from_file(args.detections)
+    if args.annotate:
+        # a bad directory fails here, before any output is written
+        os.makedirs(args.annotate, exist_ok=True)
     outputs, _times, _session = run_sequence(
         load_sequence(args.frames), init_box, detector, cfg)
-    write_track_file(args.out, outputs)
     if args.annotate:
-        os.makedirs(args.annotate, exist_ok=True)
         for frame, out in zip(load_sequence(args.frames), outputs):
             write_annotated(frame, [(out.mode, out.box)],
                             os.path.join(args.annotate,
                                          f"{frame.index:05d}.ppm"))
+    write_track_file(args.out, outputs)
     print(f"tracked {len(outputs)} frames -> {args.out}", file=sys.stderr)
     return 0
 

@@ -83,14 +83,18 @@ def area(b: Box) -> float:
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint."""
+    """Intersection-over-union of two boxes; 0 when disjoint.
+
+    Rounding in ``x + w`` can make the intersection of two equal boxes a few
+    ulps larger than their area, so the ratio is capped at 1.
+    """
     ix = min(a.x2, b.x2) - max(a.x, b.x)
     iy = min(a.y2, b.y2) - max(a.y, b.y)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
     union = area(a) + area(b) - inter
-    return inter / union
+    return min(inter / union, 1.0)
 
 
 def union_bbox(boxes: list[Box]) -> Box:

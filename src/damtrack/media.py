@@ -88,7 +88,7 @@ def crop_rect(dims: FrameDims, box: Box) -> tuple[int, int, int, int] | None:
     return x0, y0, x1, y1
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _resample_plan(in_w: int, in_h: int, out_w: int, out_h: int
                    ) -> tuple[np.ndarray, ...]:
     """Source rows and columns and their weights for one resampling shape.

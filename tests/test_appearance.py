@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 import damtrack
@@ -249,12 +250,42 @@ def ncc_cases(draw, max_side: int = 40):
 
 @settings(max_examples=400, deadline=None)
 @given(ncc_cases())
-def test_ncc_matches_reference_kernel_bitwise(case):
+def test_ncc_matches_reference_kernel(case):
+    # the kernel's FFT is shorter than fftconvolve's, so it rounds
+    # differently: equal to 1e-12, and exactly 0 where a window is flat
     region, template = case
     got = ncc_scores(region, template)
     want = reference_ncc(region, template)
     assert got.shape == want.shape
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    w_sum, w_ss = _window_sums(region, *template.shape)
+    flat = w_ss * template.size == w_sum * w_sum
+    assert np.all(got[flat] == 0.0)
+
+
+# region sides that are already fast real-FFT lengths: the kernel pads
+# nothing, so the last valid lag reads the region's last row or column
+_FAST_SIDES = [n for n in range(1, 82) if next_fast_len(n, True) == n]
+
+
+@st.composite
+def alias_edge_cases(draw):
+    rh = draw(st.sampled_from(_FAST_SIDES))
+    rw = draw(st.sampled_from(_FAST_SIDES))
+    region = draw(arrays(np.uint8, (rh, rw)))
+    th = draw(st.sampled_from([1, rh]) | st.integers(1, rh))
+    tw = draw(st.sampled_from([1, rw]) | st.integers(1, rw))
+    return region, draw(arrays(np.uint8, (th, tw)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(alias_edge_cases())
+def test_ncc_alias_free_at_fast_lengths(case):
+    region, template = case
+    got = ncc_scores(region, template)
+    want = brute_force_ncc(region, template)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None)

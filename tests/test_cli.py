@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from conftest import tiny_scenario
 from damtrack.bench import ladder_configs
 from damtrack.cli import main
 from damtrack.config import save_config
+from damtrack.media import write_pnm
 from damtrack.pipeline import PipelineConfig
 from damtrack.synth import generate, scenario_spec_to_dict, write_scenario
 
@@ -232,3 +235,95 @@ def test_bench_missing_suite(suite_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = _bench(suite_dir, out, suite=str(missing))
     _assert_failed(code, capsys, str(missing), out)
+
+
+# --- track --------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def track_dir(tmp_path_factory) -> str:
+    """A scenario on disk (frames/, detections.jsonl, gt.jsonl) and the
+    default config file beside its frames."""
+    root = tmp_path_factory.mktemp("track")
+    write_scenario(generate(tiny_scenario(occ_len=0)), str(root))
+    save_config(str(root / "config.json"), PipelineConfig())
+    return str(root)
+
+
+def _init_text(track_dir: str) -> str:
+    with open(os.path.join(track_dir, "gt.jsonl")) as f:
+        box = json.loads(f.readline())["box"]
+    return ",".join(str(box[k]) for k in ("x", "y", "w", "h"))
+
+
+def _track(track_dir: str, out, *flags: str, frames: str | None = None,
+           init: str | None = None, detections: str | None = None) -> int:
+    # an explicit config and detections file keep the notices off stderr
+    return main([
+        "track", "--frames", frames or os.path.join(track_dir, "frames"),
+        "--init", _init_text(track_dir) if init is None else init,
+        "--detections",
+        detections or os.path.join(track_dir, "detections.jsonl"),
+        "--config", os.path.join(track_dir, "config.json"),
+        "--out", str(out), *flags])
+
+
+def test_track_writes_outputs_and_annotations(track_dir, tmp_path):
+    out = tmp_path / "track.jsonl"
+    annotate = tmp_path / "frames_out"
+    code = _track(track_dir, out, "--annotate", str(annotate))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 30
+    assert sorted(os.listdir(annotate)) == [f"{t:05d}.ppm" for t in range(30)]
+
+
+@pytest.mark.parametrize("value", [
+    "a,b,c,d", "10,10,0,0", "10,10,-4,6", "10,10,nan,6", "10,inf,4,6",
+    "10,10,4", "",
+], ids=["not_numeric", "zero_size", "negative", "nan", "inf", "three_fields",
+        "empty"])
+def test_track_bad_init_names_value(track_dir, tmp_path, capsys, value):
+    out = tmp_path / "track.jsonl"
+    code = _track(track_dir, out, init=value)
+    _assert_failed(code, capsys, f"bad init box {value!r}: ", out)
+
+
+def test_track_init_outside_frame(track_dir, tmp_path, capsys):
+    out = tmp_path / "track.jsonl"
+    code = _track(track_dir, out, init="230,10,20,20")  # the frame is 240 wide
+    _assert_failed(code, capsys, "init box", out)
+
+
+def test_track_missing_frames_dir(track_dir, tmp_path, capsys):
+    missing = tmp_path / "no_frames"
+    out = tmp_path / "track.jsonl"
+    code = _track(track_dir, out, frames=str(missing))
+    _assert_failed(code, capsys, str(missing), out)
+
+
+def test_track_frame_of_other_dims_names_file(track_dir, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    shutil.copytree(os.path.join(track_dir, "frames"), frames)
+    odd = frames / "00003.ppm"
+    write_pnm(str(odd), np.zeros((10, 12, 3), dtype=np.uint8))
+    out = tmp_path / "track.jsonl"
+    code = _track(track_dir, out, frames=str(frames))
+    _assert_failed(code, capsys, f"{odd}: dims 12x10 do not match", out)
+
+
+def test_track_bad_detections_line_names_file_and_line(track_dir, tmp_path,
+                                                      capsys):
+    with open(os.path.join(track_dir, "detections.jsonl")) as f:
+        first = f.readline()
+    dets = _jsonl(tmp_path / "dets.jsonl", [first, '{"t": 1, "detections": 7}\n'])
+    out = tmp_path / "track.jsonl"
+    code = _track(track_dir, out, detections=dets)
+    _assert_failed(code, capsys, f"{dets}:2: bad detection record", out)
+
+
+def test_track_bad_annotate_leaves_no_track_file(track_dir, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    out = tmp_path / "track.jsonl"
+    code = _track(track_dir, out, "--annotate", str(taken))
+    _assert_failed(code, capsys, str(taken), out)

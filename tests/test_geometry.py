@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damtrack.geometry import (Box, FrameDims, Vec2, area, clamp_to_frame,
                                iou, norm_displacement, roi_crop, union_bbox)
@@ -46,13 +48,36 @@ def test_iou_known_values():
     assert iou(Box(0, 0, 1, 1), Box(0.5, 0, 1, 1)) == pytest.approx(1 / 3)
 
 
-def test_iou_symmetric_and_bounded(rng):
-    for _ in range(200):
-        a = random_int_box(rng)
-        b = random_int_box(rng)
-        v = iou(a, b)
-        assert v == iou(b, a)
-        assert 0.0 <= v <= 1.0
+_coords = st.floats(-1e4, 1e4, allow_nan=False)
+_sides = st.floats(1e-3, 1e4, allow_nan=False)
+_boxes = st.builds(Box, _coords, _coords, _sides, _sides)
+_dims = st.builds(FrameDims, st.integers(1, 4000), st.integers(1, 4000))
+
+
+@st.composite
+def _box_pairs(draw):
+    """Independent boxes, equal boxes, and a box beside a shifted copy."""
+    a = draw(_boxes)
+    kind = draw(st.sampled_from(["any", "same", "shifted"]))
+    if kind == "any":
+        return a, draw(_boxes)
+    if kind == "same":
+        return a, Box(a.x, a.y, a.w, a.h)
+    dx, dy = (draw(st.floats(-2.0, 2.0)) * side for side in (a.w, a.h))
+    return a, Box(a.x + dx, a.y + dy, a.w, a.h)
+
+
+def _inside(b: Box, d: FrameDims) -> bool:
+    return 0.0 <= b.x and 0.0 <= b.y and b.x2 <= d.width and b.y2 <= d.height
+
+
+@settings(max_examples=500, deadline=None)
+@given(_box_pairs())
+def test_iou_symmetric_and_bounded(pair):
+    a, b = pair
+    v = iou(a, b)
+    assert v == iou(b, a)
+    assert 0.0 <= v <= 1.0
 
 
 def test_area():
@@ -93,6 +118,18 @@ def test_clamp_always_inside(rng):
         assert 0 <= c.x and 0 <= c.y
         assert c.x2 <= dims.width and c.y2 <= dims.height
         assert c.w >= 1.0 and c.h >= 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(_boxes, _dims)
+def test_clamp_to_frame_inside_any_frame(b, d):
+    assert _inside(clamp_to_frame(b, d), d)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_boxes, st.floats(1.0, 10.0), _dims)
+def test_roi_crop_always_inside(prev, kappa, d):
+    assert _inside(roi_crop(prev, kappa, d), d)
 
 
 def test_roi_crop_preserves_center_and_scales():
