@@ -10,8 +10,7 @@ whole stack runs end to end without any learned model.
 """
 
 from .appearance import compute_descriptor, cosine, ncc_scores, ncc_search
-from .bench import (capacity_configs, ladder_configs, run_disk_scenario,
-                    suite_report)
+from .bench import capacity_configs, ladder_configs, run_disk_scenario
 from .config import (config_from_dict, config_to_dict, load_config,
                      save_config, scale_thresholds)
 from .detection import (Detection, DetectionSet, DetectorInterface,
@@ -58,7 +57,6 @@ __all__ = [
     "robustness", "recovery_stats", "summarize",
     "config_from_dict", "config_to_dict", "load_config", "save_config",
     "scale_thresholds",
-    "run_disk_scenario", "suite_report", "ladder_configs",
-    "capacity_configs",
+    "run_disk_scenario", "ladder_configs", "capacity_configs",
     "__version__",
 ]

@@ -5,28 +5,19 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .detection import ScriptedDetector
 from .media import load_sequence
-from .metrics import SequenceResult, evaluate, summarize
-from .pipeline import PipelineConfig, TrackerSession, run_sequence
+from .metrics import SequenceResult, evaluate
+from .pipeline import PipelineConfig, run_sequence
 from .synth import read_events_file, read_gt_file
 
 
-class ScenarioRun:
-    """Everything produced by one tracked scenario."""
-
-    def __init__(self, name: str, result: SequenceResult,
-                 events: Sequence[tuple[int, int]],
-                 session: TrackerSession) -> None:
-        self.name = name
-        self.result = result
-        self.events = list(events)
-        self.session = session
-
-
-def run_disk_scenario(path: str, config: PipelineConfig) -> ScenarioRun:
+def run_disk_scenario(path: str, config: PipelineConfig,
+                      ) -> tuple[str, SequenceResult, list[tuple[int, int]]]:
+    """Track one scenario directory; returns the (name, result, events)
+    triple that ``metrics.summarize`` takes."""
     frames = load_sequence(os.path.join(path, "frames"))
     detector = ScriptedDetector.from_file(os.path.join(path, "detections.jsonl"))
     gt, _ = read_gt_file(os.path.join(path, "gt.jsonl"))
@@ -34,10 +25,9 @@ def run_disk_scenario(path: str, config: PipelineConfig) -> ScenarioRun:
     init_box = gt[0]
     if init_box is None:
         raise ValueError(f"{path}: ground truth is occluded at frame 0")
-    outputs, times, session = run_sequence(frames, init_box, detector, config)
-    result = evaluate(outputs, gt, times)
-    return ScenarioRun(os.path.basename(os.path.normpath(path)), result,
-                       events, session)
+    outputs, times, _session = run_sequence(frames, init_box, detector, config)
+    return (os.path.basename(os.path.normpath(path)),
+            evaluate(outputs, gt, times), events)
 
 
 def discover_scenarios(suite_dir: str) -> list[str]:
@@ -50,15 +40,6 @@ def discover_scenarios(suite_dir: str) -> list[str]:
     if not paths:
         raise ValueError(f"{suite_dir}: no scenario directories found")
     return paths
-
-
-def suite_report(runs: Iterable[ScenarioRun]) -> dict:
-    runs = list(runs)
-    report = summarize([(r.name, r.result, r.events) for r in runs])
-    total_frames = sum(len(r.result.ious) for r in runs)
-    dam_ns = sum(r.session.dam.spent_ns for r in runs)
-    report["timing"]["dam_ms_per_frame"] = dam_ns / total_frames / 1e6
-    return report
 
 
 def ladder_configs(base: PipelineConfig) -> list[tuple[str, PipelineConfig]]:

@@ -14,12 +14,13 @@ import sys
 from dataclasses import replace
 
 from .bench import (capacity_configs, discover_scenarios, ladder_configs,
-                    run_disk_scenario, suite_report)
+                    run_disk_scenario)
 from .config import config_to_dict, load_config, scale_thresholds
 from .detection import ScriptedDetector
 from .geometry import Box, iou
 from .media import load_sequence, write_annotated
-from .metrics import SequenceResult, mean_iou, recovery_stats, robustness
+from .metrics import (SequenceResult, mean_iou, recovery_stats, robustness,
+                      summarize)
 from .pipeline import PipelineConfig, TrackOutput, run_sequence
 from .synth import (generate, read_events_file, read_gt_file,
                     scenario_spec_from_dict, standard_suite, write_scenario)
@@ -168,14 +169,15 @@ def _parse_ablate(text: str) -> list[int]:
 
 def _bench_variants(args: argparse.Namespace,
                     base: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
-    chosen = sum(1 for flag in (args.ablate, args.perturb, args.ladder) if flag)
+    # a given flag counts even when its value is falsy ("--perturb 0")
+    chosen = (args.ablate is not None) + (args.perturb is not None) + args.ladder
     if chosen > 1:
         raise ValueError("--ablate, --perturb, and --ladder are exclusive")
-    if args.ablate:
+    if args.ablate is not None:
         return capacity_configs(base, _parse_ablate(args.ablate))
     if args.ladder:
         return ladder_configs(base)
-    if args.perturb:
+    if args.perturb is not None:
         if not 0.0 < args.perturb < 1.0:
             raise ValueError("--perturb must be in (0, 1)")
         return [
@@ -212,11 +214,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 raise RuntimeError(
                     f"scenario {path} failed under config {label}: {e}"
                 ) from e
-        rows.append({"config": label, "summary": suite_report(runs)})
+        rows.append({"config": label, "summary": summarize(runs)})
         print(f"finished config {label} ({len(runs)} scenarios)",
               file=sys.stderr)
     report: dict = {"rows": rows}
-    if args.perturb:
+    if args.perturb is not None:
         base_iou = rows[0]["summary"]["mean_iou"]
         report["iou_fluctuation"] = max(
             abs(r["summary"]["mean_iou"] - base_iou) for r in rows[1:])

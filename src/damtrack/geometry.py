@@ -121,7 +121,8 @@ def clamp_to_frame(b: Box, frame: FrameDims) -> Box:
     y1 = min(y1, frame.height - 1.0)
     x2 = max(x2, x1 + 1.0)
     y2 = max(y2, y1 + 1.0)
-    return Box(x1, y1, x2 - x1, y2 - y1)
+    # x2 is a rounded sum, so x2 - x1 can fall an ulp short of 1
+    return Box(x1, y1, max(x2 - x1, 1.0), max(y2 - y1, 1.0))
 
 
 def roi_crop(prev: Box, kappa: float, frame: FrameDims) -> Box:

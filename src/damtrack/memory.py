@@ -9,7 +9,6 @@ RAM when appearance agrees over a sliding window. A third FIFO holds negative
 from __future__ import annotations
 
 import math
-import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -124,8 +123,7 @@ def penalized_score(s: float, psi: Descriptor, bank: NegativeBank,
 class DistractorAwareMemory:
     """RAM + DRM + negative bank for one tracking session.
 
-    All mutating and scoring entry points are self-timed into ``spent_ns`` so
-    benchmarks can report pure memory-maintenance cost.
+    Every buffer is a bounded FIFO, so a long session holds constant memory.
     """
 
     def __init__(self, cfg: DamConfig | None = None):
@@ -133,9 +131,6 @@ class DistractorAwareMemory:
         self.ram: deque[RamEntry] = deque(maxlen=self.cfg.ram_capacity)
         self.drm: deque[DrmEntry] = deque(maxlen=self.cfg.drm_capacity)
         self.bank = NegativeBank(self.cfg.neg_capacity)
-        self.admission_log: list[dict] = []
-        self.promotion_log: list[dict] = []
-        self.spent_ns = 0
 
     def median_area(self) -> float | None:
         """Median area of RAM boxes; None when RAM is empty."""
@@ -151,7 +146,6 @@ class DistractorAwareMemory:
         deviation from the RAM median within tau_a. An empty RAM compares the
         candidate against its own area, so the area gate passes.
         """
-        start = time.perf_counter_ns()
         cfg = self.cfg
         overlap = iou(candidate, prev)
         ref_area = self.median_area()
@@ -161,10 +155,6 @@ class DistractorAwareMemory:
         admitted = overlap >= cfg.tau_in and area_dev <= cfg.tau_a
         if admitted:
             self.ram.append(RamEntry(candidate, descriptor, t))
-        self.admission_log.append(
-            {"t": t, "iou": overlap, "area_dev": area_dev, "admitted": admitted}
-        )
-        self.spent_ns += time.perf_counter_ns() - start
         return admitted
 
     def try_promote(self, t: int) -> bool:
@@ -175,7 +165,6 @@ class DistractorAwareMemory:
         needs m_min agreeing entries. Anchors nearly identical to an existing
         one (cosine >= 0.98) are skipped to keep the buffer diverse.
         """
-        start = time.perf_counter_ns()
         if not self.ram:
             raise ValueError("try_promote on empty RAM")
         newest = self.ram[-1]
@@ -186,47 +175,33 @@ class DistractorAwareMemory:
         count = sum(
             1 for e in window if cosine(e.descriptor, newest.descriptor) >= cfg.tau_sim
         )
-        promoted = False
-        duplicate = False
-        if count >= cfg.m_min:
-            duplicate = any(
-                cosine(a.descriptor, newest.descriptor) >= 0.98 for a in self.drm
-            )
-            if not duplicate:
-                self.drm.append(DrmEntry(newest.box, newest.descriptor, t))
-                promoted = True
-        self.promotion_log.append(
-            {"t": t, "count": count, "promoted": promoted, "duplicate": duplicate}
-        )
-        self.spent_ns += time.perf_counter_ns() - start
-        return promoted
+        if count < cfg.m_min or any(
+                cosine(a.descriptor, newest.descriptor) >= 0.98 for a in self.drm):
+            return False
+        self.drm.append(DrmEntry(newest.box, newest.descriptor, t))
+        return True
 
     def best_anchor(self, b_ref: Box, phi_ref: Descriptor,
-                    pi: float | Callable[[Box], float],
+                    pi: Callable[[Box], float],
                     t: int) -> tuple[DrmEntry, float] | None:
         """Exhaustively score every anchor; return the best if above tau_acc.
 
-        ``pi`` is the motion prior, either a constant or a per-anchor-box
-        callable. Ties break toward the most recently promoted anchor. Returns
-        None when DRM is empty or no score reaches the acceptance margin.
+        ``pi`` maps an anchor box to its motion prior. Ties break toward the
+        most recently promoted anchor. Returns None when DRM is empty or no
+        score reaches the acceptance margin.
         """
-        start = time.perf_counter_ns()
-        pi_of = pi if callable(pi) else (lambda _box: pi)
         best: tuple[DrmEntry, float] | None = None
         for entry in self.drm:  # oldest to newest, so >= keeps the newest tie
-            s = score_anchor(entry, b_ref, phi_ref, pi_of(entry.box), t, self.cfg)
+            s = score_anchor(entry, b_ref, phi_ref, pi(entry.box), t, self.cfg)
             s_pen = penalized_score(s, entry.descriptor, self.bank, self.cfg)
             if best is None or s_pen >= best[1]:
                 best = (entry, s_pen)
-        self.spent_ns += time.perf_counter_ns() - start
         if best is None or best[1] < self.cfg.tau_acc:
             return None
         return best
 
     def add_negative(self, descriptor: Descriptor) -> None:
-        start = time.perf_counter_ns()
         self.bank.add(descriptor)
-        self.spent_ns += time.perf_counter_ns() - start
 
     def dump_state(self) -> dict:
         """JSON-ready snapshot with descriptor checksums, for tests/debugging."""

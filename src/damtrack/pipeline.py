@@ -21,13 +21,13 @@ from .detection import (DetectionSet, DetectorInterface, SourceConfig,
 from .geometry import (Box, FrameDims, Vec2, clamp_to_frame, iou,
                        norm_displacement, roi_crop, union_bbox)
 from .media import Frame, crop_rect
-from .memory import DamConfig, DistractorAwareMemory
+from .memory import DamConfig, DistractorAwareMemory, penalized_score
 from .tracker import MotionEstimator, TemplateTracker
 
 MODE_NORMAL = "NORMAL"
 MODE_HOLDING = "HOLDING"
 
-STAGE1_REINIT_MODES = ("ref", "anchor", "det")
+STAGE1_REINIT_MODES = ("ref", "anchor")
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class PipelineConfig:
     tau_prior: float = 0.20  # stage-2 motion-prior floor (locality gate)
     tau_ncc: float = 0.60  # stage-3 acceptance
     ncc_region_factor: float = 4.0  # stage-3 region scale around b_ref
-    # where a stage-1 accept resumes: "ref" at b_ref; "anchor" at the anchor
-    # box; "det" at the fresh detection best overlapping b_ref when that IoU
-    # reaches tau_match, else at b_ref
+    # where a stage-1 accept resumes: "ref" at b_ref, "anchor" at the anchor box
     stage1_reinit: str = "ref"
     dam: DamConfig = field(default_factory=DamConfig)
     source: SourceConfig = field(default_factory=SourceConfig)
@@ -148,7 +146,6 @@ class TrackerSession:
         self.estimate: Box | None = None
         self.mode = MODE_NORMAL
         self.held: Box | None = None
-        self.occ_flag = False
         self.last_set = DetectionSet(0, [])
         self.last_verified_descriptor: Descriptor | None = None
         self.last_verified_template: np.ndarray | None = None
@@ -170,7 +167,6 @@ class TrackerSession:
         self.estimate = b0
         self.mode = MODE_NORMAL
         self.held = None
-        self.occ_flag = False
         self.last_set = DetectionSet(0, [])
         return TrackOutput(0, b0, MODE_NORMAL, 1.0, 0, False, 0)
 
@@ -190,7 +186,8 @@ class TrackerSession:
         # 1. detections (fresh on schedule, stale otherwise)
         ran = False
         if cfg.use_detector:
-            run, full = schedule(t, cfg.source.stride_delta, self.occ_flag)
+            run, full = schedule(t, cfg.source.stride_delta,
+                                 self.mode == MODE_HOLDING)
             dets = provide(self.detector, frame, prev, run, full,
                            self.last_set, cfg.source)
             ran = run
@@ -250,7 +247,6 @@ class TrackerSession:
                     self.dam.try_promote(t)
         self.mode = MODE_NORMAL
         self.held = None
-        self.occ_flag = False
         return TrackOutput(t, candidate, MODE_NORMAL, conf, len(o_boxes), False, 0)
 
     # -- holding path ----------------------------------------------------------
@@ -265,7 +261,6 @@ class TrackerSession:
         else:
             b_ref = self.estimate
         self.mode = MODE_HOLDING
-        self.occ_flag = True
 
         recovered = self._recover(frame, t, dets, b_ref, v, len(o_boxes))
         if cfg.use_drm:
@@ -295,7 +290,6 @@ class TrackerSession:
                 self._refresh_verified(frame, box, desc)
             self.mode = MODE_NORMAL
             self.held = None
-            self.occ_flag = False
             return TrackOutput(t, box, MODE_NORMAL, conf, len(o_boxes), True, stage)
 
         emitted = b_ref if cfg.use_held else self.tracker.last_box
@@ -322,14 +316,9 @@ class TrackerSession:
             )
             if hit is not None:
                 entry, _score = hit
-                if cfg.stage1_reinit == "anchor":
-                    return entry.box, 1
-                if cfg.stage1_reinit == "det":
-                    return _resume_at_detection(dets, t, b_ref, cfg.tau_match), 1
-                return b_ref, 1
+                return (entry.box if cfg.stage1_reinit == "anchor" else b_ref), 1
 
         if len(dets) > 0 and self.last_verified_descriptor is not None:
-            gamma = cfg.dam.gamma
             best_score = -math.inf
             best_box = None
             for d in dets:
@@ -345,11 +334,8 @@ class TrackerSession:
                 if pi < cfg.tau_prior:
                     continue
                 desc = compute_descriptor(frame, d.box)
-                score = (
-                    0.7 * cosine(desc, self.last_verified_descriptor)
-                    + 0.3 * pi
-                    - gamma * self.dam.bank.max_cosine(desc)
-                )
+                raw = 0.7 * cosine(desc, self.last_verified_descriptor) + 0.3 * pi
+                score = penalized_score(raw, desc, self.dam.bank, cfg.dam)
                 if score > best_score:
                     best_score = score
                     best_box = d.box
@@ -373,19 +359,6 @@ class TrackerSession:
     def _refresh_verified(self, frame: Frame, box: Box, desc: Descriptor) -> None:
         self.last_verified_descriptor = desc
         self.last_verified_template = frame.gray(*crop_rect(frame.dims, box))
-
-
-def _resume_at_detection(dets: DetectionSet, t: int, b_ref: Box,
-                         tau_match: float) -> Box:
-    """The fresh detection best overlapping b_ref, if it overlaps enough.
-
-    A stale set describes an earlier frame, so only a set detected at t can
-    correct the reference box; otherwise b_ref itself is the resume box.
-    """
-    if dets.t != t or len(dets) == 0:
-        return b_ref
-    best = max(dets, key=lambda d: iou(d.box, b_ref))
-    return best.box if iou(best.box, b_ref) >= tau_match else b_ref
 
 
 def _patch_has_texture(frame: Frame, box: Box) -> bool:

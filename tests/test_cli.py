@@ -214,6 +214,26 @@ def test_bench_ablate_rows(suite_dir, tmp_path):
     assert [row["config"] for row in _rows(out)] == ["ram_drm=2", "ram_drm=4"]
 
 
+def test_bench_perturb_rows(suite_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert _bench(suite_dir, out, "--perturb", "0.1") == 0
+    assert [row["config"] for row in _rows(out)] == ["base", "down_0.1",
+                                                      "up_0.1"]
+    with open(out) as f:
+        assert json.load(f)["iou_fluctuation"] >= 0.0
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--perturb", "0"), ("--perturb", "1"), ("--ablate", ""),
+])
+def test_bench_falsy_flag_values_rejected(suite_dir, tmp_path, capsys,
+                                          flag, value):
+    # a falsy value is still a given flag: it must not run the default row
+    out = tmp_path / "report.json"
+    code = _bench(suite_dir, out, flag, value)
+    _assert_failed(code, capsys, flag, out)
+
+
 def test_bench_exclusive_flags(suite_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = _bench(suite_dir, out, "--ladder", "--ablate", "ram_drm=2")

@@ -29,10 +29,10 @@ def test_partial_dict_fills_defaults():
 
 
 def test_flat_keys_map_onto_nested_fields():
-    cfg = config_from_dict({"delta": 5, "tau_in": 0.7, "stage1_reinit": "det"})
+    cfg = config_from_dict({"delta": 5, "tau_in": 0.7, "stage1_reinit": "anchor"})
     assert cfg.source.stride_delta == 5
     assert cfg.dam.tau_in == 0.7
-    assert cfg.stage1_reinit == "det"
+    assert cfg.stage1_reinit == "anchor"
 
 
 def test_unknown_keys_rejected():
@@ -86,13 +86,13 @@ def test_scale_thresholds_exact_values():
 
 def test_scale_thresholds_leaves_structure_alone():
     base = config_from_dict({"ram_capacity": 7, "delta": 4, "window_w": 9,
-                             "use_drm": False, "stage1_reinit": "det"})
+                             "use_drm": False, "stage1_reinit": "anchor"})
     scaled = scale_thresholds(base, 1.2)
     assert scaled.dam.ram_capacity == 7
     assert scaled.source.stride_delta == 4
     assert scaled.dam.window_w == 9
     assert scaled.use_drm is False
-    assert scaled.stage1_reinit == "det"
+    assert scaled.stage1_reinit == "anchor"
     assert scaled.dam.neg_capacity == base.dam.neg_capacity
     assert scaled.dam.epsilon == base.dam.epsilon
 

@@ -123,7 +123,16 @@ def test_clamp_always_inside(rng):
 @settings(max_examples=500, deadline=None)
 @given(_boxes, _dims)
 def test_clamp_to_frame_inside_any_frame(b, d):
-    assert _inside(clamp_to_frame(b, d), d)
+    c = clamp_to_frame(b, d)
+    assert _inside(c, d)
+    assert c.w >= 1.0 and c.h >= 1.0
+
+
+def test_clamp_to_frame_minimum_side_survives_rounding():
+    # x + w rounds, so x2 - x1 reads one ulp under 1 without the floor
+    c = clamp_to_frame(Box(0.001, 0, 1, 1), FrameDims(2, 1))
+    assert c.w == 1.0 and c.h == 1.0
+    assert c.x == 0.001 and c.x2 <= 2
 
 
 @settings(max_examples=500, deadline=None)

@@ -64,12 +64,10 @@ def test_admission_requires_both_gates(rng):
     assert not dam.ram_admit(Box(28, 28, 20, 20), desc, base, 2)
     # overlap fine, area way off the median
     assert not dam.ram_admit(Box(10, 10, 20, 30), desc, base, 3)
-    decisions = [e["admitted"] for e in dam.admission_log]
-    assert decisions == [True, True, False, False]
-    assert len(dam.ram) == 2
+    assert [e.timestamp for e in dam.ram] == [0, 1]
 
 
-def test_admission_log_matches_reevaluation(rng):
+def test_admission_matches_reevaluation(rng):
     cfg = DamConfig(tau_in=0.5, tau_a=0.2)
     dam = DistractorAwareMemory(cfg)
     prev = Box(20, 20, 20, 20)
@@ -83,10 +81,8 @@ def test_admission_log_matches_reevaluation(rng):
         dev = abs(area(cand) - ref) / (ref + cfg.epsilon)
         want = iou(cand, prev) >= cfg.tau_in and dev <= cfg.tau_a
         assert admitted == want
-        rec = dam.admission_log[-1]
-        assert rec["t"] == t and rec["admitted"] == admitted
-        assert rec["iou"] == pytest.approx(iou(cand, prev))
-        assert rec["area_dev"] == pytest.approx(dev)
+        # exactly the admitted candidates reach RAM
+        assert (bool(dam.ram) and dam.ram[-1].timestamp == t) == want
 
 
 def test_ram_fifo_eviction(rng):
@@ -127,14 +123,15 @@ def test_promotion_window_counting(rng):
     dam = promote_ready_dam(rng, [0.9, 0.2, 0.9, 0.2])
     assert dam.try_promote(4)
     assert len(dam.drm) == 1
-    assert dam.promotion_log[-1] == {"t": 4, "count": 3, "promoted": True,
-                                     "duplicate": False}
+    assert dam.drm[-1].promoted_at == 4
+    assert dam.drm[-1].descriptor is dam.ram[-1].descriptor
     dam2 = promote_ready_dam(rng, [0.9, 0.2, 0.2, 0.2])  # only 2 agree
     assert not dam2.try_promote(4)
-    assert dam2.promotion_log[-1]["count"] == 2
+    assert len(dam2.drm) == 0
     # agreement outside the last window_w entries must not count
     dam3 = promote_ready_dam(rng, [0.95, 0.95, 0.2, 0.2, 0.2])
     assert not dam3.try_promote(5)
+    assert len(dam3.drm) == 0
 
 
 def test_promotion_dedup_near_identical_anchor(rng):
@@ -142,9 +139,9 @@ def test_promotion_dedup_near_identical_anchor(rng):
     assert dam.try_promote(2)
     newest = dam.ram[-1]
     dam.ram.append(RamEntry(newest.box, newest.descriptor.copy(), 3))
+    # the window agrees, so only the near-duplicate guard can refuse
     assert not dam.try_promote(3)
-    assert dam.promotion_log[-1]["duplicate"] is True
-    assert len(dam.drm) == 1
+    assert len(dam.drm) == 1 and dam.drm[-1].promoted_at == 2
 
 
 def test_promotion_preconditions(rng):
@@ -197,12 +194,11 @@ def brute_force_best(dam: DistractorAwareMemory, b_ref: Box,
     cfg = dam.cfg
     best_entry, best_s = None, -np.inf
     for entry in dam.drm:
-        pi_t = pi(entry.box) if callable(pi) else pi
         s = (cfg.lambda_iou * iou(entry.box, b_ref)
              + cfg.lambda_app * float(np.dot(entry.descriptor, phi_ref)
                                       / (np.linalg.norm(entry.descriptor)
                                          * np.linalg.norm(phi_ref)))
-             + cfg.lambda_mot * pi_t
+             + cfg.lambda_mot * pi(entry.box)
              + cfg.lambda_time * math.exp(-cfg.alpha * (t - entry.promoted_at)))
         if len(dam.bank):
             # the bank penalty floors at zero: anticorrelated negatives
@@ -258,24 +254,16 @@ def test_best_anchor_tie_keeps_newest(rng):
     first = DrmEntry(b, desc, 5)
     second = DrmEntry(b, desc.copy(), 5)  # identical score
     dam.drm.extend([first, second])
-    hit = dam.best_anchor(b, desc, pi=0.5, t=9)
+    hit = dam.best_anchor(b, desc, pi=lambda _box: 0.5, t=9)
     assert hit is not None and hit[0] is second
 
 
 def test_best_anchor_empty_and_below_floor(rng):
     dam = DistractorAwareMemory(DamConfig(tau_acc=0.99))
-    assert dam.best_anchor(Box(0, 0, 5, 5), unit_vec(rng), 0.0, 0) is None
+    no_prior = lambda _box: 0.0
+    assert dam.best_anchor(Box(0, 0, 5, 5), unit_vec(rng), no_prior, 0) is None
     dam.drm.append(DrmEntry(Box(50, 50, 5, 5), unit_vec(rng), 0))
-    assert dam.best_anchor(Box(0, 0, 5, 5), unit_vec(rng), 0.0, 10) is None
-
-
-def test_best_anchor_constant_pi(rng):
-    dam = DistractorAwareMemory(DamConfig(tau_acc=0.0))
-    desc = unit_vec(rng)
-    dam.drm.append(DrmEntry(Box(0, 0, 10, 10), desc, 0))
-    const = dam.best_anchor(Box(0, 0, 10, 10), desc, 0.7, 0)
-    from_call = dam.best_anchor(Box(0, 0, 10, 10), desc, lambda _b: 0.7, 0)
-    assert const[1] == pytest.approx(from_call[1])
+    assert dam.best_anchor(Box(0, 0, 5, 5), unit_vec(rng), no_prior, 10) is None
 
 
 # --- negative bank ------------------------------------------------------------
@@ -304,17 +292,6 @@ def test_negative_cosine_floor_at_zero(rng):
 
 
 # --- bookkeeping --------------------------------------------------------------
-
-
-def test_spent_ns_accumulates(rng):
-    dam = DistractorAwareMemory()
-    assert dam.spent_ns == 0
-    b = Box(0, 0, 10, 10)
-    dam.ram_admit(b, unit_vec(rng), b, 0)
-    after_admit = dam.spent_ns
-    assert after_admit > 0
-    dam.add_negative(unit_vec(rng))
-    assert dam.spent_ns > after_admit
 
 
 def test_dump_state_stable_and_sensitive(rng):

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_block_patch, make_scene, tiny_scenario
 from damtrack.detection import Detection, ScriptedDetector, DetectionSet
 from damtrack.geometry import Box, FrameDims, Vec2
 from damtrack.media import Frame
+from damtrack.memory import DamConfig
 from damtrack.pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig,
                                TrackerSession, compute_switch,
                                detect_occlusion_set, motion_prior,
@@ -49,8 +51,9 @@ def test_config_validation():
         PipelineConfig(beta=-0.1)
     with pytest.raises(ValueError):
         PipelineConfig(ncc_region_factor=0.8)
-    with pytest.raises(ValueError):
-        PipelineConfig(stage1_reinit="hold")
+    for mode in ("hold", "det"):
+        with pytest.raises(ValueError):
+            PipelineConfig(stage1_reinit=mode)
     with pytest.raises(ValueError):
         PipelineConfig(use_ram=False, use_drm=True)
 
@@ -132,8 +135,8 @@ def test_init_validation_and_seed_admission():
     assert out.t == 0 and out.mode == MODE_NORMAL and out.conf == 1.0
     # the first-frame box is ground truth: admitted against itself
     assert len(session.dam.ram) == 1
-    assert session.dam.admission_log[0]["admitted"] is True
-    assert session.dam.admission_log[0]["iou"] == 1.0
+    assert session.dam.ram[0].box == Box(40, 30, 32, 32)
+    assert session.dam.ram[0].timestamp == 0
 
 
 def test_detector_required_when_enabled():
@@ -177,7 +180,8 @@ def test_realignment_snaps_to_matching_detection():
                                      {3: [Detection(det_box, 0.9)]})
     assert outputs[3].box == det_box  # adopted verbatim on the stride frame
     assert outputs[3].mode == MODE_NORMAL
-    assert session.dam.admission_log[-1]["admitted"] is True
+    assert session.dam.ram[-1].timestamp == 3
+    assert session.dam.ram[-1].box == det_box
 
 
 def test_no_realignment_below_iou_gate_banks_the_detection():
@@ -234,7 +238,7 @@ def test_holding_entry_and_glide():
         assert out.switch is True
         assert out.recovery_stage == "held"
         assert out.box == Box(120, 90, 32, 32)  # static: zero velocity glide
-    assert session.occ_flag is True
+    assert session.mode == MODE_HOLDING
 
 
 def test_occlusion_forces_full_frame_detection():
@@ -259,10 +263,9 @@ def test_stage1_anchor_reacquisition():
 def test_stage1_resume_box_per_reinit_mode():
     # the target reappears 4 px off the held box with its own detection:
     # the anchor accepts in every mode, which decides only where to resume
-    revealed = Box(124, 92, 32, 32)
-    per_frame = {6: [Detection(revealed, 0.9)]}
+    per_frame = {6: [Detection(Box(124, 92, 32, 32), 0.9)]}
     resumed = {}
-    for mode in ("ref", "anchor", "det"):
+    for mode in ("ref", "anchor"):
         outputs, _, session = occlusion_run(
             3, 3, (124, 92), per_frame=per_frame,
             cfg=PipelineConfig(stage1_reinit=mode))
@@ -272,18 +275,6 @@ def test_stage1_resume_box_per_reinit_mode():
             anchor_boxes = [entry.box for entry in session.dam.drm]
     assert resumed["ref"] == Box(120, 90, 32, 32)
     assert resumed["anchor"] in anchor_boxes
-    assert resumed["det"] == revealed
-
-
-@pytest.mark.parametrize("per_frame", [
-    {6: [Detection(Box(150, 110, 32, 32), 0.9)]},  # below tau_match to b_ref
-    {},  # no detections at all
-], ids=["far_detection", "no_detection"])
-def test_stage1_det_mode_falls_back_to_reference(per_frame):
-    outputs, _, _ = occlusion_run(3, 3, (124, 92), per_frame=per_frame,
-                                  cfg=PipelineConfig(stage1_reinit="det"))
-    assert outputs[6].recovery_stage == 1
-    assert outputs[6].box == Box(120, 90, 32, 32)
 
 
 def test_stage1_requires_uncrowded_scene_stage2_settles():
@@ -326,6 +317,46 @@ def test_stage2_accepts_inside_locality():
     reveal = outputs[6]
     assert reveal.recovery_stage == 2
     assert reveal.box == decoy_near
+
+
+def test_stage2_penalizes_banked_look_alike():
+    # two candidates each keep one half of the target's pattern, so both
+    # match its descriptor about equally and each other hardly at all. The
+    # nearer one was seen, unclaimed, beside the target and banked; without
+    # the penalty its stronger motion prior wins, with it the other one does
+    target = make_block_patch(32, 32, TARGET_SEED)
+
+    def spliced(seed: int, rows: slice):
+        patch = target.copy()
+        patch[rows] = make_block_patch(32, 32, seed)[rows]
+        return patch
+
+    start = Box(84, 59, 32, 32)
+    near, far = Box(120, 59, 32, 32), Box(34, 59, 32, 32)
+    look_alike = (near, spliced(5, slice(0, 16)))
+    other = (far, spliced(6, slice(16, 32)))
+
+    def frame(t: int, patches) -> Frame:
+        canvas = np.full((150, 200, 3), 100, dtype=np.uint8)
+        for box, patch in patches:
+            canvas[int(box.y):int(box.y2), int(box.x):int(box.x2)] = patch
+        return Frame(canvas, index=t)
+
+    frames = [frame(t, [(start, target)]) for t in range(3)]
+    frames.append(frame(3, [(start, target), look_alike]))
+    frames += [frame(t, []) for t in range(4, 7)]
+    frames.append(frame(7, [look_alike, other]))
+    per_frame = {3: [Detection(near, 0.9)],
+                 7: [Detection(near, 0.9), Detection(far, 0.9)]}
+    picked = {}
+    for gamma in (0.0, 1.0):
+        # neither half-match reaches the default acceptance once penalized
+        cfg = PipelineConfig(tau_snap=0.3, dam=DamConfig(gamma=gamma))
+        outputs, _, session = run_frames(frames, start, per_frame, cfg)
+        assert len(session.dam.bank) == 1
+        assert outputs[7].recovery_stage == 2
+        picked[gamma] = outputs[7].box
+    assert picked == {0.0: near, 1.0: far}
 
 
 def test_stage3_ncc_reacquisition():
