@@ -1,8 +1,9 @@
 """Command line harness: track, synth, bench, and eval subcommands.
 
 Machine output goes to files; human diagnostics go to stderr. Every failure
-exits nonzero with a message naming the offending input, and a partially
-written output file is removed.
+exits nonzero with a message naming the offending input (the file and line,
+for a JSON Lines file). Every JSON and JSON Lines output is written through
+``records``, which removes a partially written file.
 """
 
 from __future__ import annotations
@@ -21,63 +22,37 @@ from .geometry import Box, iou
 from .media import load_sequence, write_annotated
 from .metrics import (SequenceResult, mean_iou, recovery_stats, robustness,
                       summarize)
-from .pipeline import PipelineConfig, TrackOutput, run_sequence
+from .pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig,
+                       TrackerSession, TrackOutput)
+from .records import read_json, read_jsonl, write_json, write_jsonl
 from .synth import (generate, read_events_file, read_gt_file,
                     scenario_spec_from_dict, standard_suite, write_scenario)
+
+# the --annotate outline: green while tracking, orange while holding the box
+_MODE_COLORS = {MODE_NORMAL: (0, 220, 0), MODE_HOLDING: (255, 80, 0)}
 
 
 def write_track_file(path: str, outputs: list[TrackOutput]) -> None:
     """One JSON record per frame, in frame order."""
-    try:
-        with open(path, "w", encoding="ascii") as f:
-            for out in outputs:
-                f.write(json.dumps(out.to_record()) + "\n")
-    except BaseException:
-        _remove_quiet(path)
-        raise
+    write_jsonl(path, (out.to_record() for out in outputs))
 
 
 def read_track_file(path: str) -> tuple[list[Box], list[str]]:
     """Per-frame boxes and modes of a track file, in frame order."""
     boxes: list[Box] = []
     modes: list[str] = []
-    with open(path, "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                t = int(rec["t"])
-                box = Box.from_dict(rec["box"])
-                mode = str(rec["mode"])
-            except (KeyError, ValueError, TypeError) as e:
-                raise ValueError(
-                    f"{path}:{line_no}: bad track record ({e!r})") from None
-            if t != len(boxes):
-                raise ValueError(f"{path}:{line_no}: non-contiguous frame index")
-            boxes.append(box)
-            modes.append(mode)
+
+    def parse(rec: dict) -> None:
+        if int(rec["t"]) != len(boxes):
+            raise ValueError("non-contiguous frame index")
+        box, mode = Box.from_dict(rec["box"]), str(rec["mode"])
+        boxes.append(box)
+        modes.append(mode)
+
+    read_jsonl(path, "track", parse)
     if not boxes:
         raise ValueError(f"{path}: empty track file")
     return boxes, modes
-
-
-def _remove_quiet(path: str) -> None:
-    try:
-        os.remove(path)
-    except OSError:
-        pass
-
-
-def _write_json(path: str, data: dict) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as f:
-            json.dump(data, f, indent=2, sort_keys=True)
-            f.write("\n")
-    except BaseException:
-        _remove_quiet(path)
-        raise
 
 
 def _parse_init(text: str) -> Box:
@@ -118,11 +93,15 @@ def _cmd_track(args: argparse.Namespace) -> int:
     if args.annotate:
         # a bad directory fails here, before any output is written
         os.makedirs(args.annotate, exist_ok=True)
-    outputs, _times, _session = run_sequence(
-        load_sequence(args.frames), init_box, detector, cfg)
-    if args.annotate:
-        for frame, out in zip(load_sequence(args.frames), outputs):
-            write_annotated(frame, [(out.mode, out.box)],
+    # each frame is annotated as it is tracked, so the sequence decodes once
+    session = TrackerSession(detector, cfg)
+    outputs: list[TrackOutput] = []
+    for frame in load_sequence(args.frames):
+        out = (session.init(frame, init_box) if frame.index == 0
+               else session.step(frame))
+        outputs.append(out)
+        if args.annotate:
+            write_annotated(frame, out.box, _MODE_COLORS[out.mode],
                             os.path.join(args.annotate,
                                          f"{frame.index:05d}.ppm"))
     write_track_file(args.out, outputs)
@@ -134,12 +113,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if (args.spec is None) == (not args.suite):
         raise ValueError("exactly one of --spec or --suite is required")
     if args.spec is not None:
-        with open(args.spec, "r", encoding="ascii") as f:
-            try:
-                spec = scenario_spec_from_dict(json.load(f))
-            except (KeyError, ValueError, TypeError) as e:
-                raise ValueError(
-                    f"{args.spec}: bad scenario spec ({e!r})") from None
+        spec = read_json(args.spec, "scenario spec", scenario_spec_from_dict)
         try:
             scenarios = [generate(spec)]
         except ValueError as e:
@@ -222,7 +196,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         base_iou = rows[0]["summary"]["mean_iou"]
         report["iou_fluctuation"] = max(
             abs(r["summary"]["mean_iou"] - base_iou) for r in rows[1:])
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(_format_table(rows), file=sys.stderr)
     return 0
 
@@ -246,7 +220,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         report["recovery_rate"] = stats.rate
         report["recovery_mean_latency"] = stats.mean_latency
         report["events"] = stats.total
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"mean_iou={report['mean_iou']:.4f} "
           f"robustness={report['robustness']:.4f}", file=sys.stderr)
     return 0

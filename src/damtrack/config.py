@@ -8,11 +8,10 @@ defaults filling the rest.
 
 from __future__ import annotations
 
-import json
-
 from .detection import SourceConfig
 from .memory import DamConfig
 from .pipeline import PipelineConfig
+from .records import read_json, write_json
 
 # flat key -> (sub-config, field name); None targets the pipeline level
 _SOURCE_KEYS = {
@@ -76,6 +75,8 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
+    if not isinstance(data, dict):
+        raise TypeError("config must be a flat JSON object")
     unknown = sorted(set(data) - set(KNOWN_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -103,20 +104,11 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
-    with open(path, "r", encoding="ascii") as f:
-        data = json.load(f)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a flat JSON object")
-    try:
-        return config_from_dict(data)
-    except (ValueError, TypeError) as e:
-        raise ValueError(f"{path}: {e}") from None
+    return read_json(path, "config", config_from_dict)
 
 
 def save_config(path: str, cfg: PipelineConfig) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, config_to_dict(cfg))
 
 
 def scale_thresholds(cfg: PipelineConfig, factor: float) -> PipelineConfig:

@@ -3,16 +3,17 @@
 The detector contract is detect(frame, roi) -> DetectionSet in full-frame
 coordinates. The reference implementation replays a JSON Lines file, one
 object per frame: {"t": int, "detections": [{"x","y","w","h","score"}, ...]}.
-Frames absent from the file have zero detections.
+A frame index is never negative and appears at most once; frames absent
+from the file have zero detections.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .geometry import Box, iou, roi_crop
 from .media import Frame
+from .records import read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -87,35 +88,24 @@ def _intersects(a: Box, b: Box) -> bool:
 
 def read_detections_file(path: str) -> dict[int, list[Detection]]:
     per_frame: dict[int, list[Detection]] = {}
-    with open(path, "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                t = int(rec["t"])
-                dets = [
-                    Detection(Box.from_dict(d), float(d["score"]))
-                    for d in rec["detections"]
-                ]
-            except (KeyError, ValueError, TypeError) as e:
-                raise ValueError(f"{path}:{line_no}: bad detection record ({e})") from None
-            per_frame[t] = dets
+
+    def parse(rec: dict) -> None:
+        t = int(rec["t"])
+        if t < 0 or t in per_frame:
+            raise ValueError(f"frame {t} is negative or repeated")
+        per_frame[t] = [Detection(Box.from_dict(d), float(d["score"]))
+                        for d in rec["detections"]]
+
+    read_jsonl(path, "detection", parse)
     return per_frame
 
 
 def write_detections_file(path: str, per_frame: dict[int, list[Detection]]) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for t in sorted(per_frame):
-            rec = {
-                "t": t,
-                "detections": [
-                    {**d.box.to_dict(), "score": round(d.score, 6)}
-                    for d in per_frame[t]
-                ],
-            }
-            f.write(json.dumps(rec) + "\n")
+    write_jsonl(path, (
+        {"t": t,
+         "detections": [{**d.box.to_dict(), "score": round(d.score, 6)}
+                        for d in per_frame[t]]}
+        for t in sorted(per_frame)))
 
 
 def filter_confident(dets: DetectionSet, tau_s: float) -> DetectionSet:

@@ -264,22 +264,6 @@ def load_sequence(path: str) -> Iterator[Frame]:
 
 # --- annotation ---------------------------------------------------------------
 
-_PALETTE = [
-    (0, 220, 0),
-    (255, 80, 0),
-    (40, 120, 255),
-    (255, 220, 0),
-    (230, 0, 230),
-    (0, 230, 230),
-]
-
-
-def label_color(label: str, order: list[str]) -> tuple[int, int, int]:
-    """Stable per-label color: palette indexed by first-seen label order."""
-    if label not in order:
-        order.append(label)
-    return _PALETTE[order.index(label) % len(_PALETTE)]
-
 
 def draw_box_outline(pixels: np.ndarray, box: Box, color: tuple[int, int, int], thickness: int = 2) -> None:
     """Draw a box outline in place, clipped to the frame."""
@@ -305,10 +289,9 @@ def draw_box_outline(pixels: np.ndarray, box: Box, color: tuple[int, int, int], 
             pixels[ys, xb - 1] = col
 
 
-def write_annotated(frame: Frame, boxes: list[tuple[str, Box]], path: str) -> None:
-    """Write the frame as PPM with 2-px labeled box outlines drawn on a copy."""
+def write_annotated(frame: Frame, box: Box, color: tuple[int, int, int],
+                    path: str) -> None:
+    """Write the frame as PPM with a 2-px box outline drawn on a copy."""
     canvas = frame.pixels.copy()
-    order: list[str] = []
-    for label, box in boxes:
-        draw_box_outline(canvas, box, label_color(label, order))
+    draw_box_outline(canvas, box, color)
     write_pnm(path, canvas)

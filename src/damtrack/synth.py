@@ -20,7 +20,6 @@ models detector re-acquisition delay.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ import numpy as np
 from .detection import Detection, write_detections_file
 from .geometry import Box, FrameDims
 from .media import Frame, write_pnm
+from .records import read_json, read_jsonl, write_json, write_jsonl
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -550,54 +550,37 @@ def write_scenario(out: ScenarioOutput, directory: str) -> None:
                   frame.pixels)
     write_detections_file(os.path.join(directory, "detections.jsonl"),
                           out.detections)
-    with open(os.path.join(directory, "gt.jsonl"), "w", encoding="ascii") as f:
-        for t, (box, occ) in enumerate(zip(out.gt_boxes, out.occluded)):
-            rec: dict = {"t": t}
-            if occ:
-                rec["occluded"] = True
-            else:
-                rec["box"] = box.to_dict()
-            f.write(json.dumps(rec) + "\n")
-    with open(os.path.join(directory, "events.json"), "w", encoding="ascii") as f:
-        json.dump({"occlusions": [{"start": s, "end": e} for s, e in out.events]},
-                  f, indent=2)
-        f.write("\n")
+    write_jsonl(os.path.join(directory, "gt.jsonl"), (
+        {"t": t, "occluded": True} if occ else {"t": t, "box": box.to_dict()}
+        for t, (box, occ) in enumerate(zip(out.gt_boxes, out.occluded))))
+    write_json(os.path.join(directory, "events.json"),
+               {"occlusions": [{"start": s, "end": e} for s, e in out.events]})
 
 
 def read_gt_file(path: str) -> tuple[list[Box | None], list[bool]]:
     """Ground-truth boxes (None when occluded) and the occlusion flags."""
     boxes: list[Box | None] = []
     occluded: list[bool] = []
-    with open(path, "r", encoding="ascii") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                t = int(rec["t"])
-                hidden = bool(rec.get("occluded"))
-                box = None if hidden else Box.from_dict(rec["box"])
-            except (KeyError, ValueError, TypeError) as e:
-                raise ValueError(
-                    f"{path}:{line_no}: bad ground-truth record ({e!r})"
-                ) from None
-            if t != len(boxes):
-                raise ValueError(f"{path}:{line_no}: non-contiguous frame index")
-            boxes.append(box)
-            occluded.append(hidden)
+
+    def parse(rec: dict) -> None:
+        if int(rec["t"]) != len(boxes):
+            raise ValueError("non-contiguous frame index")
+        hidden = rec.get("occluded", False)
+        if not isinstance(hidden, bool):
+            raise TypeError(f"occluded must be true or false, got {hidden!r}")
+        boxes.append(None if hidden else Box.from_dict(rec["box"]))
+        occluded.append(hidden)
+
+    read_jsonl(path, "ground-truth", parse)
+    if not boxes:
+        raise ValueError(f"{path}: empty ground-truth file")
     return boxes, occluded
 
 
 def read_events_file(path: str) -> list[tuple[int, int]]:
     """Occlusion events as (start, end) frame pairs."""
-    with open(path, "r", encoding="ascii") as f:
-        try:
-            data = json.load(f)
-            return [(int(e["start"]), int(e["end"]))
-                    for e in data["occlusions"]]
-        except (KeyError, ValueError, TypeError) as e:
-            raise ValueError(f"{path}: bad events file ({e!r})") from None
+    return read_json(path, "events file", lambda data: [
+        (int(e["start"]), int(e["end"])) for e in data["occlusions"]])
 
 
 # --- spec (de)serialization ---------------------------------------------------

@@ -15,7 +15,8 @@ from conftest import tiny_scenario
 from damtrack.bench import ladder_configs
 from damtrack.cli import main
 from damtrack.config import save_config
-from damtrack.media import write_pnm
+from damtrack import media
+from damtrack.media import read_pnm, write_pnm
 from damtrack.pipeline import PipelineConfig
 from damtrack.synth import generate, scenario_spec_to_dict, write_scenario
 
@@ -295,6 +296,42 @@ def test_track_writes_outputs_and_annotations(track_dir, tmp_path):
     assert code == 0
     assert len(out.read_text().splitlines()) == 30
     assert sorted(os.listdir(annotate)) == [f"{t:05d}.ppm" for t in range(30)]
+
+
+def test_track_decodes_each_frame_once(track_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_read_pnm(path):
+        calls.append(path)
+        return read_pnm(path)
+
+    monkeypatch.setattr(media, "read_pnm", counting_read_pnm)
+    code = _track(track_dir, tmp_path / "track.jsonl",
+                  "--annotate", str(tmp_path / "frames_out"))
+    assert code == 0
+    assert len(calls) == 30 and len(set(calls)) == 30
+
+
+def test_track_annotation_color_follows_mode(tmp_path):
+    # the tiny scenario's cover makes the session hold the box over frames 12-16
+    root = tmp_path / "covered"
+    write_scenario(generate(tiny_scenario()), str(root))
+    save_config(str(root / "config.json"), PipelineConfig())
+    out = tmp_path / "track.jsonl"
+    annotate = tmp_path / "frames_out"
+    assert _track(str(root), out, "--annotate", str(annotate)) == 0
+    colors = {}
+    for line in out.read_text().splitlines():
+        rec = json.loads(line)
+        box = rec["box"]
+        pixels = read_pnm(str(annotate / f"{rec['t']:05d}.ppm"))
+        # the middle of the outline's top edge
+        x = int(round(box["x"] + box["w"] / 2))
+        y = int(round(box["y"]))
+        colors.setdefault(rec["mode"], set()).add(tuple(pixels[y, x]))
+    assert colors.keys() == {"NORMAL", "HOLDING"}
+    assert len(colors["NORMAL"]) == len(colors["HOLDING"]) == 1
+    assert colors["NORMAL"] != colors["HOLDING"]
 
 
 @pytest.mark.parametrize("value", [

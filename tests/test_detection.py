@@ -159,6 +159,21 @@ def test_detections_file_bad_record_names_line(tmp_path):
     assert "bad detection record" in str(err.value)
 
 
+@pytest.mark.parametrize("second", [
+    '{"t": 1, "detections": []}\n',                     # repeated frame
+    '{"t": -4, "detections": []}\n',
+], ids=["repeated", "negative"])
+def test_detections_file_rejects_repeated_or_negative_frame(tmp_path, second):
+    path = tmp_path / "dets.jsonl"
+    path.write_text('{"t": 1, "detections": '
+                    '[{"x": 1, "y": 2, "w": 3, "h": 4, "score": 0.9}]}\n'
+                    + second)
+    with pytest.raises(ValueError) as err:
+        read_detections_file(str(path))
+    assert f"{path}:2: bad detection record" in str(err.value)
+    assert "negative or repeated" in str(err.value)
+
+
 def test_source_config_validation():
     with pytest.raises(ValueError):
         SourceConfig(stride_delta=0)

@@ -12,8 +12,8 @@ from conftest import hsv_channels, make_scene, to_hsv
 from damtrack import media
 from damtrack.geometry import Box, FrameDims
 from damtrack.media import (Frame, MediaError, crop_patch, crop_rect,
-                            label_color, load_sequence, read_pnm, resample,
-                            to_gray, write_annotated, write_pnm)
+                            load_sequence, read_pnm, resample, to_gray,
+                            write_annotated, write_pnm)
 
 
 # --- gray and the HSV oracles -------------------------------------------------
@@ -316,19 +316,10 @@ def test_load_sequence_errors(tmp_path):
 # --- annotation ---------------------------------------------------------------
 
 
-def test_label_color_first_seen_order():
-    order: list[str] = []
-    c_a = label_color("a", order)
-    c_b = label_color("b", order)
-    assert label_color("a", order) == c_a
-    assert c_a != c_b
-    assert order == ["a", "b"]
-
-
 def test_write_annotated_draws_outline(tmp_path):
     frame = make_scene(40, 30, [])
     path = str(tmp_path / "ann.ppm")
-    write_annotated(frame, [("trk", Box(10, 8, 12, 10))], path)
+    write_annotated(frame, Box(10, 8, 12, 10), (0, 220, 0), path)
     out = read_pnm(path)
     assert out.shape == frame.pixels.shape
     assert not np.array_equal(out, frame.pixels)  # outline landed

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damtrack.geometry import Box, area, iou
 from damtrack.memory import (DamConfig, DistractorAwareMemory, DrmEntry,
@@ -289,6 +291,38 @@ def test_negative_cosine_floor_at_zero(rng):
     probe = unit_vec(rng)
     bank.add(vec_at_cosine(probe, -0.9, rng))
     assert bank.max_cosine(probe) == 0.0  # anticorrelated negatives are free
+
+
+# --- capacities ---------------------------------------------------------------
+
+
+_OPS = st.lists(st.tuples(st.sampled_from(["admit", "promote", "negative"]),
+                          st.integers(10, 13), st.integers(0, 2**32 - 1)),
+                max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 3), _OPS)
+def test_buffers_never_exceed_capacities(ram_cap, drm_cap, neg_cap, m_min, ops):
+    cfg = DamConfig(ram_capacity=ram_cap, drm_capacity=drm_cap,
+                    neg_capacity=neg_cap, tau_sim=0.5, m_min=m_min)
+    dam = DistractorAwareMemory(cfg)
+    for t, (op, side, seed) in enumerate(ops):
+        # non-negative descriptors agree at cosine about 0.75, so promotions
+        # pass the 0.5 window gate and rarely hit the 0.98 duplicate gate
+        desc = np.random.default_rng(seed).uniform(size=16)
+        desc /= np.linalg.norm(desc)
+        if op == "admit":
+            box = Box(0.0, 0.0, float(side), float(side))
+            dam.ram_admit(box, desc, box, t)
+        elif op == "promote" and dam.ram:
+            dam.try_promote(dam.ram[-1].timestamp)
+        elif op == "negative":
+            dam.add_negative(desc)
+        assert len(dam.ram) <= ram_cap
+        assert len(dam.drm) <= drm_cap
+        assert len(dam.bank) <= neg_cap
 
 
 # --- bookkeeping --------------------------------------------------------------

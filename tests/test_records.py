@@ -1,0 +1,104 @@
+"""Every JSON and JSON Lines reader names the file (and the line) on bad
+input, and no module but ``records`` parses or dumps JSON itself."""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import os
+
+import pytest
+
+import damtrack
+from damtrack.cli import main, read_track_file
+from damtrack.config import load_config
+from damtrack.detection import read_detections_file
+from damtrack.synth import read_events_file, read_gt_file
+
+_BOX = '{"x": 1, "y": 2, "w": 3, "h": 4}'
+
+
+def _synth_spec(path: str) -> None:
+    """``damtrack synth --spec``, its error message raised as a ValueError."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["synth", "--spec", path,
+                     "--out", os.path.join(os.path.dirname(path), "out")])
+    if code != 0:
+        raise ValueError(err.getvalue())
+
+
+# reader, a valid first line (JSON Lines only), and the three bad inputs:
+# a non-ASCII byte, truncated JSON and a wrongly typed field
+_READERS = {
+    "detections": (read_detections_file, '{"t": 0, "detections": []}', {
+        "non_ascii": b'{"t": 1, "detections": [], "note": "\xc3\xa9"}',
+        "truncated": b'{"t": 1, "detections": [',
+        "wrong_type": b'{"t": 1, "detections": [{"x": 1, "y": 2, "w": 3, '
+                      b'"h": 4, "score": "high"}]}',
+    }),
+    "gt": (read_gt_file, f'{{"t": 0, "box": {_BOX}}}', {
+        "non_ascii": b'{"t": 1, "occluded": true, "note": "\xe9"}',
+        "truncated": b'{"t": 1, "box": ',
+        "wrong_type": b'{"t": 1, "box": {"x": "left", "y": 2, "w": 3, "h": 4}}',
+    }),
+    "track": (read_track_file, f'{{"t": 0, "box": {_BOX}, "mode": "NORMAL"}}', {
+        "non_ascii": b'{"t": 1, "box": {"x": 1, "y": 2, "w": 3, "h": 4}, '
+                     b'"mode": "NORM\xc3\x81L"}',
+        "truncated": b'{"t": 1, "box": {"x": 1',
+        "wrong_type": b'{"t": 1, "box": [1, 2, 3, 4], "mode": "NORMAL"}',
+    }),
+    "events": (read_events_file, None, {
+        "non_ascii": b'{"occlusions": [], "note": "\xe9"}',
+        "truncated": b'{"occlusions": [{"start": 1',
+        "wrong_type": b'{"occlusions": [{"start": "soon", "end": 3}]}',
+    }),
+    "config": (load_config, None, {
+        "non_ascii": b'{"tau_s": 0.5, "note\xe9": 1}',
+        "truncated": b'{"tau_s": ',
+        "wrong_type": b'{"use_drm": "false"}',
+    }),
+    "scenario_spec": (_synth_spec, None, {
+        "non_ascii": b'{"name": "\xc3\xa9"}',
+        "truncated": b'{"name": "x", ',
+        "wrong_type": b'{"name": "x", "seed": "many", "target": {}}',
+    }),
+}
+
+
+@pytest.mark.parametrize("bad", ["non_ascii", "truncated", "wrong_type"])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_reader_names_file_and_line(tmp_path, reader, bad):
+    read, first_line, cases = _READERS[reader]
+    path = tmp_path / "input"
+    if first_line is None:
+        path.write_bytes(cases[bad])
+        where = f"{path}: bad "
+    else:
+        path.write_bytes(first_line.encode() + b"\n" + cases[bad] + b"\n")
+        where = f"{path}:2: bad "
+    with pytest.raises(ValueError) as err:
+        read(str(path))
+    assert where in str(err.value)
+
+
+_JSON_CALLS = {"load", "loads", "dump"}
+
+
+def test_only_records_parses_or_dumps_json():
+    package = os.path.dirname(damtrack.__file__)
+    offenders = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "records.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in _JSON_CALLS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                offenders.append(f"{name}:{node.lineno}: json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                offenders.append(f"{name}:{node.lineno}: from json import")
+    assert not offenders, offenders

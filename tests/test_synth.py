@@ -305,6 +305,33 @@ def test_read_gt_file_rejects_gaps(tmp_path):
     assert "non-contiguous" in str(err.value)
 
 
+def test_read_gt_file_rejects_empty_file(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    path.write_text("\n")
+    with pytest.raises(ValueError) as err:
+        read_gt_file(str(path))
+    assert f"{path}: empty ground-truth file" in str(err.value)
+
+
+@pytest.mark.parametrize("value", ['"no"', "1", "null"])
+def test_read_gt_file_requires_bool_occluded(tmp_path, value):
+    # a truthy string would score the frame as occluded and drop its box
+    path = tmp_path / "gt.jsonl"
+    path.write_text('{"t": 0, "box": {"x": 1, "y": 1, "w": 5, "h": 5}, '
+                    f'"occluded": {value}}}\n')
+    with pytest.raises(ValueError) as err:
+        read_gt_file(str(path))
+    assert f"{path}:1: bad ground-truth record" in str(err.value)
+    assert "occluded must be true or false" in str(err.value)
+
+
+def test_read_gt_file_accepts_explicit_false(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    path.write_text('{"t": 0, "box": {"x": 1, "y": 1, "w": 5, "h": 5}, '
+                    '"occluded": false}\n')
+    assert read_gt_file(str(path)) == ([Box(1, 1, 5, 5)], [False])
+
+
 # --- spec (de)serialization ---------------------------------------------------
 
 
