@@ -129,7 +129,10 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Zero-mean NCC of the template at every integer offset inside the region.
 
     Output shape is (H-th+1, W-tw+1). Offsets where the window or the template
-    has zero variance score 0.
+    has zero variance score 0. A region of one gray level (a covered target
+    on a flat background or occluder) has no window with variance, so it
+    returns zeros before any template work or FFT, and leaves the template
+    cache alone.
 
     The correlation is a real FFT product with the template's conjugate
     spectrum over the axes where the template is longer than 1 (a length-1
@@ -146,6 +149,8 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"template {tw}x{th} larger than region {rw}x{rh}"
         )
+    if region_gray.max() == region_gray.min():
+        return np.zeros((rh - th + 1, rw - tw + 1))
     # sum(w * t0) == sum((w - mean(w)) * t0) because t0 sums to zero; the
     # circular correlation with the template gives that sum at every offset,
     # in its block [:rh-th+1, :rw-tw+1]

@@ -24,7 +24,8 @@ from .metrics import (SequenceResult, mean_iou, recovery_stats, robustness,
                       summarize)
 from .pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig,
                        TrackerSession, TrackOutput)
-from .records import read_json, read_jsonl, write_json, write_jsonl
+from .records import (json_int, read_json, read_jsonl, write_json,
+                      write_jsonl)
 from .synth import (generate, read_events_file, read_gt_file,
                     scenario_spec_from_dict, standard_suite, write_scenario)
 
@@ -43,7 +44,7 @@ def read_track_file(path: str) -> tuple[list[Box], list[str]]:
     modes: list[str] = []
 
     def parse(rec: dict) -> None:
-        if int(rec["t"]) != len(boxes):
+        if json_int(rec["t"], "t") != len(boxes):
             raise ValueError("non-contiguous frame index")
         box, mode = Box.from_dict(rec["box"]), str(rec["mode"])
         boxes.append(box)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .detection import SourceConfig
 from .memory import DamConfig
 from .pipeline import PipelineConfig
-from .records import read_json, write_json
+from .records import json_int, read_json, write_json
 
 # flat key -> (sub-config, field name); None targets the pipeline level
 _SOURCE_KEYS = {
@@ -85,10 +85,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
             raise ValueError(f"config key {key} must be true or false, "
                              f"got {data[key]!r}")
     for key in _INT_KEYS:
-        if key in data and (isinstance(data[key], bool)
-                            or not isinstance(data[key], int)):
-            raise ValueError(f"config key {key} must be an integer, "
-                             f"got {data[key]!r}")
+        if key in data:
+            json_int(data[key], f"config key {key}")
     source_kw = {
         fname: data[key] for key, fname in _SOURCE_KEYS.items() if key in data
     }

@@ -10,10 +10,11 @@ from the file have zero detections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 from .geometry import Box, iou, roi_crop
 from .media import Frame
-from .records import read_jsonl, write_jsonl
+from .records import json_int, json_number, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,14 @@ class SourceConfig:
             raise ValueError("kappa must be >= 1")
 
 
-class DetectorInterface:
+class DetectorInterface(Protocol):
     """Behavioral contract: boxes in full-frame coordinates, ROI-respecting."""
 
     def detect(self, frame: Frame, roi: Box | None = None) -> DetectionSet:
-        raise NotImplementedError
+        ...
 
 
-class ScriptedDetector(DetectorInterface):
+class ScriptedDetector:
     """Deterministic replay of a detections file.
 
     An ROI restricts the returned set to boxes intersecting it, emulating
@@ -90,10 +91,11 @@ def read_detections_file(path: str) -> dict[int, list[Detection]]:
     per_frame: dict[int, list[Detection]] = {}
 
     def parse(rec: dict) -> None:
-        t = int(rec["t"])
+        t = json_int(rec["t"], "t")
         if t < 0 or t in per_frame:
             raise ValueError(f"frame {t} is negative or repeated")
-        per_frame[t] = [Detection(Box.from_dict(d), float(d["score"]))
+        per_frame[t] = [Detection(Box.from_dict(d),
+                                  json_number(d["score"], "score"))
                         for d in rec["detections"]]
 
     read_jsonl(path, "detection", parse)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .records import json_number
+
 
 @dataclass(frozen=True)
 class Box:
@@ -50,7 +52,8 @@ class Box:
 
     @staticmethod
     def from_dict(d: dict) -> "Box":
-        return Box(float(d["x"]), float(d["y"]), float(d["w"]), float(d["h"]))
+        """Box from a JSON object whose four fields are JSON numbers."""
+        return Box(*(json_number(d[k], k) for k in ("x", "y", "w", "h")))
 
 
 @dataclass(frozen=True)

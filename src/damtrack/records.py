@@ -3,7 +3,9 @@
 Every input file is ASCII. A reader hands each decoded record to a parse
 function and turns any KeyError, ValueError or TypeError it raises, or a
 bad byte or malformed JSON, into a ValueError naming the file (and the
-line, for JSON Lines). A writer removes its partial output if it fails.
+line, for JSON Lines). A frame index must be a JSON integer and a box field
+or score a JSON number: a bool, a fraction or a numeric string is rejected,
+not rounded or parsed. A writer removes its partial output if it fails.
 """
 
 from __future__ import annotations
@@ -38,6 +40,21 @@ def read_json(path: str, what: str, parse: Callable[[Any], Any]) -> Any:
         return parse(json.loads(raw.decode("ascii")))
     except _BAD_RECORD as e:
         raise ValueError(f"{path}: bad {what} ({e!r})") from None
+
+
+def json_int(value: Any, what: str) -> int:
+    """value if it is a JSON integer; a bool or anything else raises."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value: Any, what: str) -> float:
+    """value as a float if it is a JSON number; a bool or anything else
+    raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def write_jsonl(path: str, records: Iterable[Any]) -> None:

@@ -30,7 +30,8 @@ import numpy as np
 from .detection import Detection, write_detections_file
 from .geometry import Box, FrameDims
 from .media import Frame, write_pnm
-from .records import read_json, read_jsonl, write_json, write_jsonl
+from .records import (json_int, read_json, read_jsonl, write_json,
+                      write_jsonl)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -563,7 +564,7 @@ def read_gt_file(path: str) -> tuple[list[Box | None], list[bool]]:
     occluded: list[bool] = []
 
     def parse(rec: dict) -> None:
-        if int(rec["t"]) != len(boxes):
+        if json_int(rec["t"], "t") != len(boxes):
             raise ValueError("non-contiguous frame index")
         hidden = rec.get("occluded", False)
         if not isinstance(hidden, bool):
@@ -580,7 +581,8 @@ def read_gt_file(path: str) -> tuple[list[Box | None], list[bool]]:
 def read_events_file(path: str) -> list[tuple[int, int]]:
     """Occlusion events as (start, end) frame pairs."""
     return read_json(path, "events file", lambda data: [
-        (int(e["start"]), int(e["end"])) for e in data["occlusions"]])
+        (json_int(e["start"], "start"), json_int(e["end"], "end"))
+        for e in data["occlusions"]])
 
 
 # --- spec (de)serialization ---------------------------------------------------

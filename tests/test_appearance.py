@@ -16,6 +16,7 @@ from scipy.signal import fftconvolve
 
 import damtrack
 from conftest import hsv_channels, make_block_patch, make_scene, to_hsv
+from damtrack import appearance
 from damtrack.appearance import (DESCRIPTOR_LEN, HUE_BINS, PATCH_SIDE,
                                  SAT_BINS, compute_descriptor, cosine,
                                  hsv_histogram, ncc_scores, ncc_search)
@@ -333,6 +334,49 @@ def test_ncc_flat_template_all_zero(rng):
     region = rng.integers(0, 256, size=(10, 10), dtype=np.uint8)
     scores = ncc_scores(region, np.full((3, 3), 7, dtype=np.uint8))
     assert np.all(scores == 0.0)
+
+
+@st.composite
+def constant_region_cases(draw):
+    rh = draw(st.integers(1, 60))
+    rw = draw(st.integers(1, 60))
+    region = np.full((rh, rw), draw(st.integers(0, 255)), np.uint8)
+    th = draw(st.sampled_from([1, rh]) | st.integers(1, rh))
+    tw = draw(st.sampled_from([1, rw]) | st.integers(1, rw))
+    kind = draw(st.sampled_from(["drawn", "cut", "flat"]))
+    if kind == "cut":
+        template = region[:th, :tw].copy()
+    elif kind == "flat":
+        template = np.full((th, tw), draw(st.integers(0, 255)), np.uint8)
+    else:
+        template = draw(arrays(np.uint8, (th, tw)))
+    return region, template
+
+
+@settings(max_examples=200, deadline=None)
+@given(constant_region_cases())
+def test_ncc_constant_region_scores_exact_zero(case):
+    region, template = case
+    got = ncc_scores(region, template)
+    th, tw = template.shape
+    assert got.shape == (region.shape[0] - th + 1, region.shape[1] - tw + 1)
+    # +0.0 everywhere, bit for bit what the FFT path gives a flat window
+    assert not np.any(np.signbit(got))
+    assert np.array_equal(got, np.zeros(got.shape))
+    assert np.array_equal(got, reference_ncc(region, template))
+
+
+def test_ncc_constant_region_skips_the_fft(monkeypatch, rng):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT reached")
+
+    monkeypatch.setattr(appearance.sp_fft, "rfftn", no_fft)
+    template = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
+    region = np.full((30, 30), 90, dtype=np.uint8)
+    assert np.all(ncc_scores(region, template) == 0.0)
+    region[17, 4] = 91  # one differing pixel gives windows with variance
+    with pytest.raises(AssertionError, match="FFT reached"):
+        ncc_scores(region, template)
 
 
 def test_ncc_peak_at_embedded_template(rng):

@@ -7,6 +7,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ import damtrack
 from damtrack.cli import main, read_track_file
 from damtrack.config import load_config
 from damtrack.detection import read_detections_file
+from damtrack.geometry import Box
 from damtrack.synth import read_events_file, read_gt_file
 
 _BOX = '{"x": 1, "y": 2, "w": 3, "h": 4}'
@@ -81,6 +83,72 @@ def test_reader_names_file_and_line(tmp_path, reader, bad):
     with pytest.raises(ValueError) as err:
         read(str(path))
     assert where in str(err.value)
+
+
+# reader, a valid first line (JSON Lines only), and bad inputs whose frame
+# index is not a JSON integer or whose box field or score is not a JSON number
+_STRICT_CASES = {
+    "detections": (read_detections_file, '{"t": 0, "detections": []}', {
+        "t_fraction": '{"t": 1.9, "detections": []}',
+        "t_bool": '{"t": true, "detections": []}',
+        "t_string": '{"t": "1", "detections": []}',
+        "x_string": '{"t": 1, "detections": [{"x": "1", "y": 2, "w": 3, '
+                    '"h": 4, "score": 0.9}]}',
+        "w_bool": '{"t": 1, "detections": [{"x": 1, "y": 2, "w": true, '
+                  '"h": 4, "score": 0.9}]}',
+        "score_string": '{"t": 1, "detections": [{"x": 1, "y": 2, "w": 3, '
+                        '"h": 4, "score": "0.9"}]}',
+        "score_bool": '{"t": 1, "detections": [{"x": 1, "y": 2, "w": 3, '
+                      '"h": 4, "score": true}]}',
+    }),
+    "gt": (read_gt_file, f'{{"t": 0, "box": {_BOX}}}', {
+        "t_fraction": f'{{"t": 1.9, "box": {_BOX}}}',
+        "t_bool": f'{{"t": true, "box": {_BOX}}}',
+        "x_string": '{"t": 1, "box": {"x": "1", "y": 2, "w": 3, "h": 4}}',
+        "h_bool": '{"t": 1, "box": {"x": 1, "y": 2, "w": 3, "h": true}}',
+    }),
+    "track": (read_track_file, f'{{"t": 0, "box": {_BOX}, "mode": "NORMAL"}}', {
+        "t_fraction": f'{{"t": 1.9, "box": {_BOX}, "mode": "NORMAL"}}',
+        "t_bool": f'{{"t": true, "box": {_BOX}, "mode": "NORMAL"}}',
+        "x_string": '{"t": 1, "box": {"x": "1", "y": 2, "w": 3, "h": 4}, '
+                    '"mode": "NORMAL"}',
+        "y_null": '{"t": 1, "box": {"x": 1, "y": null, "w": 3, "h": 4}, '
+                  '"mode": "NORMAL"}',
+    }),
+    "events": (read_events_file, None, {
+        "start_fraction": '{"occlusions": [{"start": 1.5, "end": 3}]}',
+        "start_bool": '{"occlusions": [{"start": true, "end": 3}]}',
+        "end_string": '{"occlusions": [{"start": 1, "end": "3"}]}',
+    }),
+}
+
+
+@pytest.mark.parametrize("reader,bad", [
+    (reader, bad) for reader, (_, _, cases) in sorted(_STRICT_CASES.items())
+    for bad in cases])
+def test_reader_requires_json_integers_and_numbers(tmp_path, reader, bad):
+    # "t": 1.9 and "t": true used to read as frame 1, "x": "1" as 1.0
+    read, first_line, cases = _STRICT_CASES[reader]
+    path = tmp_path / "input"
+    if first_line is None:
+        path.write_text(cases[bad])
+        where = f"{path}: bad "
+    else:
+        path.write_text(first_line + "\n" + cases[bad] + "\n")
+        where = f"{path}:2: bad "
+    with pytest.raises(ValueError) as err:
+        read(str(path))
+    assert where in str(err.value)
+    assert re.search(r"must be an? (integer|number)", str(err.value))
+
+
+def test_readers_take_integral_box_fields_as_floats(tmp_path):
+    # a JSON integer is a JSON number: hand-written files stay readable
+    path = tmp_path / "gt.jsonl"
+    path.write_text(f'{{"t": 0, "box": {_BOX}}}\n')
+    boxes, _ = read_gt_file(str(path))
+    assert boxes == [Box(1.0, 2.0, 3.0, 4.0)]
+    assert all(isinstance(v, float) for v in boxes[0].to_dict().values())
 
 
 _JSON_CALLS = {"load", "loads", "dump"}

@@ -3,7 +3,7 @@
 ``perfbench/reference.json`` stores the SHA-256 of every workload's track
 records per seed. A change meant to leave the output alone (a speed-up, a
 refactor) must keep these digests; one that changes them is a behaviour
-change and regenerates the file on purpose. Read only; about 10 s.
+change and regenerates the file on purpose. Read only; about 13 s.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("workload,seed", [
-    ("standard", 0), ("disk_replay", 0), ("disk_replay", 1),
+    ("standard", 0), ("cover_dense_qvga", 0), ("disk_replay", 0),
+    ("disk_replay", 1),
 ])
 def test_track_digest_matches_reference(monkeypatch, workload, seed):
     monkeypatch.syspath_prepend(ROOT)
