@@ -11,22 +11,21 @@ whole stack runs end to end without any learned model.
 
 from .appearance import compute_descriptor, cosine, ncc_scores, ncc_search
 from .bench import capacity_configs, ladder_configs, run_disk_scenario
-from .config import (config_from_dict, config_to_dict, load_config,
-                     save_config, scale_thresholds)
+from .config import (PipelineConfig, config_from_dict, config_to_dict,
+                     load_config, save_config, scale_thresholds)
 from .detection import (Detection, DetectionSet, DetectorInterface,
-                        ScriptedDetector, SourceConfig, filter_confident, nms,
-                        provide, read_detections_file, schedule,
-                        write_detections_file)
+                        ScriptedDetector, filter_confident, nms, provide,
+                        read_detections_file, schedule, write_detections_file)
 from .geometry import (Box, FrameDims, Vec2, area, clamp_to_frame, iou,
                        norm_displacement, roi_crop, union_bbox)
 from .media import (Frame, MediaError, load_sequence, read_pnm,
                     write_annotated, write_pnm)
-from .memory import (DamConfig, DistractorAwareMemory, DrmEntry, NegativeBank,
-                     RamEntry, penalized_score, score_anchor)
+from .memory import (DistractorAwareMemory, DrmEntry, NegativeBank, RamEntry,
+                     penalized_score, score_anchor)
 from .metrics import (RecoveryStats, SequenceResult, evaluate, mean_iou,
                       recovery_stats, robustness, summarize)
-from .pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig, TrackOutput,
-                       TrackerSession, run_sequence)
+from .pipeline import (MODE_HOLDING, MODE_NORMAL, TrackOutput, TrackerSession,
+                       run_sequence)
 from .synth import (NoiseSpec, ObjectSpec, OcclusionSpec, ScenarioOutput,
                     ScenarioSpec, SplitMix64, generate, read_events_file,
                     read_gt_file, scenario_spec_from_dict,
@@ -41,9 +40,9 @@ __all__ = [
     "Frame", "MediaError", "read_pnm", "write_pnm", "load_sequence",
     "write_annotated",
     "compute_descriptor", "cosine", "ncc_scores", "ncc_search",
-    "DamConfig", "DistractorAwareMemory", "RamEntry", "DrmEntry",
+    "DistractorAwareMemory", "RamEntry", "DrmEntry",
     "NegativeBank", "score_anchor", "penalized_score",
-    "Detection", "DetectionSet", "SourceConfig", "DetectorInterface",
+    "Detection", "DetectionSet", "DetectorInterface",
     "ScriptedDetector", "filter_confident", "nms", "schedule", "provide",
     "read_detections_file", "write_detections_file",
     "TemplateTracker", "MotionEstimator",

@@ -109,20 +109,23 @@ def _spectrum(a: np.ndarray, fshape: tuple[int, ...], axes: tuple[int, ...]
 def _template_terms(data: bytes, dtype: str, shape: tuple[int, int],
                     fshape: tuple[int, ...], axes: tuple[int, ...]
                     ) -> tuple[float, np.ndarray | None]:
-    """Sum of squares and conjugate spectrum of the zero-mean template.
+    """Variance term and conjugate spectrum of the zero-mean template.
 
-    A tracker's template is fixed between reinits, so each is computed once
+    The variance term over the n template pixels is
+    ``n * t_sq - t_sum * t_sum``, an exact integer for integer pixels. A
+    tracker's template is fixed between reinits, so each is computed once
     per template and FFT shape; the spectrum is None for a flat template.
     """
     t0 = np.frombuffer(data, dtype).reshape(shape).astype(np.float64)
+    t_sum = float(t0.sum())
+    t_var = t0.size * float(np.sum(t0 * t0)) - t_sum * t_sum
+    if t_var <= 0.0:
+        return t_var, None
     t0 -= t0.mean()
-    t_ss = float(np.sum(t0 * t0))
-    if t_ss == 0.0:
-        return t_ss, None
     spec = _spectrum(t0, fshape, axes)
     np.conjugate(spec, out=spec)
     spec.flags.writeable = False
-    return t_ss, spec
+    return t_var, spec
 
 
 def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -140,8 +143,11 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     correlation wraps only into lags past ``H-th`` (``W-tw``), which the
     valid block never reads. Window sums and sums of squares come from
     float64 integral images, which hold exact integers, so a flat window has
-    exactly zero variance. The later steps work in place, and the result is
-    a view into the inverse FFT.
+    exactly zero variance. Both variances are normalised as
+    ``n * sum_sq - sum * sum`` with n template pixels, an exact integer in
+    float64 for uint8 input and templates up to about 600x600, so a window
+    whose variance is tiny against its mean loses no precision. The later
+    steps work in place, and the result is a view into the inverse FFT.
     """
     th, tw = template.shape
     rh, rw = region_gray.shape
@@ -156,8 +162,8 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     # in its block [:rh-th+1, :rw-tw+1]
     axes = tuple(a for a in (0, 1) if template.shape[a] > 1)
     fshape = tuple(sp_fft.next_fast_len((rh, rw)[a], True) for a in axes)
-    t_ss, t_spec = _template_terms(template.tobytes(), template.dtype.str,
-                                   template.shape, fshape, axes)
+    t_var, t_spec = _template_terms(template.tobytes(), template.dtype.str,
+                                    template.shape, fshape, axes)
     if t_spec is None:
         return np.zeros((rh - th + 1, rw - tw + 1))
     spec = _spectrum(region_gray, fshape, axes)
@@ -176,14 +182,17 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     sums += ii[:, :-th, :-tw]
     del ii
 
+    # num is a plain sum of products while both variances carry a factor
+    # n, so the score is n * num / sqrt(w_var * t_var)
+    n = th * tw
     w_sum, w_var = sums
-    # w_var = w_ss - w_sum * w_sum / (th * tw), in that order
+    w_var *= n
     w_sum *= w_sum
-    w_sum /= th * tw
     w_var -= w_sum
     flat = w_var <= 0.0
     w_var[flat] = 1.0
-    w_var *= t_ss
+    w_var *= t_var
+    num *= n
     num /= np.sqrt(w_var, out=w_var)
     num[flat] = 0.0
     return np.clip(num, -1.0, 1.0, out=num)

@@ -7,10 +7,11 @@ import os
 from dataclasses import replace
 from typing import Sequence
 
+from .config import PipelineConfig
 from .detection import ScriptedDetector
 from .media import load_sequence
 from .metrics import SequenceResult, evaluate
-from .pipeline import PipelineConfig, run_sequence
+from .pipeline import run_sequence
 from .synth import read_events_file, read_gt_file
 
 
@@ -66,6 +67,6 @@ def capacity_configs(base: PipelineConfig,
     """One config per memory capacity, both buffers set to the same size."""
     out = []
     for cap in capacities:
-        dam = replace(base.dam, ram_capacity=cap, drm_capacity=cap)
-        out.append((f"ram_drm={cap}", replace(base, dam=dam)))
+        out.append((f"ram_drm={cap}",
+                    replace(base, ram_capacity=cap, drm_capacity=cap)))
     return out

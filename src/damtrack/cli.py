@@ -16,14 +16,14 @@ from dataclasses import replace
 
 from .bench import (capacity_configs, discover_scenarios, ladder_configs,
                     run_disk_scenario)
-from .config import config_to_dict, load_config, scale_thresholds
+from .config import (PipelineConfig, config_to_dict, load_config,
+                     scale_thresholds)
 from .detection import ScriptedDetector
 from .geometry import Box, iou
 from .media import load_sequence, write_annotated
 from .metrics import (SequenceResult, mean_iou, recovery_stats, robustness,
                       summarize)
-from .pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig,
-                       TrackerSession, TrackOutput)
+from .pipeline import MODE_HOLDING, MODE_NORMAL, TrackerSession, TrackOutput
 from .records import (json_int, read_json, read_jsonl, write_json,
                       write_jsonl)
 from .synth import (generate, read_events_file, read_gt_file,

@@ -1,56 +1,97 @@
 """Flat JSON configuration: one key per named threshold, weight, or switch.
 
-The on-disk format is a single flat object so experiment configs stay
-greppable; keys map one-to-one onto the nested runtime dataclasses. Unknown
-keys are rejected to catch typos, and any subset of keys is accepted with
-defaults filling the rest.
+``PipelineConfig`` is the one config class, and each of its fields is named
+as its JSON key, so the on-disk format is the class itself and experiment
+configs stay greppable. Unknown keys are rejected to catch typos, any subset
+of keys is accepted with defaults filling the rest, and each value must have
+its field's JSON type.
 """
 
 from __future__ import annotations
 
-from .detection import SourceConfig
-from .memory import DamConfig
-from .pipeline import PipelineConfig
-from .records import json_int, read_json, write_json
+import math
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Any
 
-# flat key -> (sub-config, field name); None targets the pipeline level
-_SOURCE_KEYS = {
-    "tau_s": "tau_s",
-    "nms_iou": "nms_iou",
-    "delta": "stride_delta",
-    "kappa": "kappa",
-}
-_DAM_KEYS = {
-    "ram_capacity": "ram_capacity",
-    "drm_capacity": "drm_capacity",
-    "tau_in": "tau_in",
-    "tau_a": "tau_a",
-    "tau_sim": "tau_sim",
-    "window_w": "window_w",
-    "m_min": "m_min",
-    "lambda_iou": "lambda_iou",
-    "lambda_app": "lambda_app",
-    "lambda_mot": "lambda_mot",
-    "lambda_time": "lambda_time",
-    "alpha": "alpha",
-    "gamma": "gamma",
-    "tau_acc": "tau_acc",
-    "neg_capacity": "neg_capacity",
-    "epsilon": "epsilon",
-}
-_PIPELINE_KEYS = (
-    "tau_conf", "tau_jump", "tau_occ", "beta", "tau_match", "tau_snap",
-    "tau_prior", "tau_ncc", "ncc_region_factor", "stage1_reinit",
-    "use_detector", "use_ram", "use_drm", "use_held",
-)
+from .records import json_int, json_number, read_json, write_json
 
-KNOWN_KEYS = tuple(_SOURCE_KEYS) + tuple(_DAM_KEYS) + _PIPELINE_KEYS
+STAGE1_REINIT_MODES = ("ref", "anchor")
 
-# JSON has one number type and truthy strings, so these keys are type-checked:
-# "delta": 2.5 would reach an integer field and "use_drm": "false" is truthy
-_BOOL_KEYS = tuple(key for key in _PIPELINE_KEYS if key.startswith("use_"))
-_INT_KEYS = ("delta", "ram_capacity", "drm_capacity", "window_w", "m_min",
-            "neg_capacity")
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Every threshold, weight, capacity and component switch of a session."""
+
+    # detection source
+    tau_s: float = 0.45  # confidence floor
+    nms_iou: float = 0.50
+    delta: int = 3  # detection stride in frames
+    kappa: float = 2.0  # ROI scale during stable tracking
+    # recent-appearance memory (RAM)
+    ram_capacity: int = 10
+    tau_in: float = 0.50  # admission IoU gate
+    tau_a: float = 0.20  # admission relative-area gate
+    epsilon: float = 1e-6
+    # stable anchors (the DRM buffer) and stage 1, the only reader of them
+    drm_capacity: int = 10
+    tau_sim: float = 0.85  # promotion window similarity
+    window_w: int = 5
+    m_min: int = 3
+    lambda_iou: float = 0.4
+    lambda_app: float = 0.3
+    lambda_mot: float = 0.2
+    lambda_time: float = 0.1
+    alpha: float = 0.05  # age decay for anchor scoring
+    tau_acc: float = 0.30  # minimum accepted anchor score
+    # where a stage-1 accept resumes: "ref" at b_ref, "anchor" at the anchor box
+    stage1_reinit: str = "ref"
+    # distractor bank: hard negatives that penalize re-selection in recovery
+    gamma: float = 0.25  # distractor penalty weight
+    neg_capacity: int = 20
+    # switching, held box, and stages 2 and 3 of recovery
+    tau_conf: float = 0.35  # tracker confidence floor
+    tau_jump: float = 0.30  # normalized displacement ceiling
+    tau_occ: float = 0.40  # IoU for a detection to crowd the hypothesis
+    beta: float = 0.3  # held-box size blend
+    tau_match: float = 0.50  # detection re-alignment IoU
+    tau_snap: float = 0.50  # stage-2 acceptance
+    tau_prior: float = 0.20  # stage-2 motion-prior floor (locality gate)
+    tau_ncc: float = 0.60  # stage-3 acceptance
+    ncc_region_factor: float = 4.0  # stage-3 region scale around b_ref
+    # component switches for ablation runs
+    use_detector: bool = True
+    use_ram: bool = True
+    use_drm: bool = True
+    use_held: bool = True
+
+    def __post_init__(self):
+        for name in ("tau_s", "nms_iou", "tau_in", "tau_a", "tau_sim",
+                     "tau_conf", "tau_jump", "tau_occ", "beta", "tau_match",
+                     "tau_snap", "tau_prior", "tau_ncc"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0,1], got {v}")
+        for name in ("lambda_iou", "lambda_app", "lambda_mot", "lambda_time",
+                     "alpha", "gamma"):
+            v = getattr(self, name)
+            if v < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {v}")
+        for name in ("delta", "ram_capacity", "drm_capacity", "neg_capacity",
+                     "window_w", "m_min", "kappa", "ncc_region_factor"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v}")
+        if self.epsilon <= 0.0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.stage1_reinit not in STAGE1_REINIT_MODES:
+            raise ValueError(f"stage1_reinit must be one of {STAGE1_REINIT_MODES}")
+        if self.use_drm and not self.use_ram:
+            raise ValueError("use_drm requires use_ram")
+
+
+# field annotations are strings under postponed evaluation
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+KNOWN_KEYS = tuple(_FIELD_TYPES)
 
 # fields scaled by perturbation sweeps: every [0,1] threshold and weight;
 # integer counts, capacities, and strides are excluded
@@ -63,15 +104,30 @@ PERTURBABLE = (
 )
 
 
+def _decode(key: str, value: Any) -> Any:
+    """value if it has the JSON type of key's field. JSON has one number
+    type and truthy strings, so "delta": 2.5 would otherwise reach an integer
+    field and "use_drm": "false" a switch."""
+    what = f"config key {key}"
+    kind = _FIELD_TYPES[key]
+    if kind == "int":
+        return json_int(value, what)
+    if kind == "float":
+        number = json_number(value, what)
+        if not math.isfinite(number):
+            raise ValueError(f"{what} must be finite, got {value!r}")
+        return number
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise ValueError(f"{what} must be true or false, got {value!r}")
+        return value
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    out: dict = {}
-    for key, fname in _SOURCE_KEYS.items():
-        out[key] = getattr(cfg.source, fname)
-    for key, fname in _DAM_KEYS.items():
-        out[key] = getattr(cfg.dam, fname)
-    for key in _PIPELINE_KEYS:
-        out[key] = getattr(cfg, key)
-    return out
+    return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -80,25 +136,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
     unknown = sorted(set(data) - set(KNOWN_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for key in _BOOL_KEYS:
-        if key in data and not isinstance(data[key], bool):
-            raise ValueError(f"config key {key} must be true or false, "
-                             f"got {data[key]!r}")
-    for key in _INT_KEYS:
-        if key in data:
-            json_int(data[key], f"config key {key}")
-    source_kw = {
-        fname: data[key] for key, fname in _SOURCE_KEYS.items() if key in data
-    }
-    dam_kw = {
-        fname: data[key] for key, fname in _DAM_KEYS.items() if key in data
-    }
-    pipe_kw = {key: data[key] for key in _PIPELINE_KEYS if key in data}
-    return PipelineConfig(
-        dam=DamConfig(**dam_kw),
-        source=SourceConfig(**source_kw),
-        **pipe_kw,
-    )
+    return PipelineConfig(**{key: _decode(key, value)
+                             for key, value in data.items()})
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -114,12 +153,12 @@ def scale_thresholds(cfg: PipelineConfig, factor: float) -> PipelineConfig:
     domain; used by perturbation-robustness sweeps."""
     if factor <= 0.0:
         raise ValueError("factor must be > 0")
-    flat = config_to_dict(cfg)
+    scaled = {}
     for key in PERTURBABLE:
-        value = flat[key] * factor
+        value = getattr(cfg, key) * factor
         if key in ("kappa", "ncc_region_factor"):
             value = max(value, 1.0)
         else:
             value = min(max(value, 0.0), 1.0)
-        flat[key] = value
-    return config_from_dict(flat)
+        scaled[key] = value
+    return replace(cfg, **scaled)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+from .config import PipelineConfig
 from .geometry import Box, iou, roi_crop
 from .media import Frame
 from .records import json_int, json_number, read_jsonl, write_jsonl
@@ -37,22 +38,6 @@ class DetectionSet:
 
     def __iter__(self):
         return iter(self.detections)
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    tau_s: float = 0.45  # confidence floor
-    nms_iou: float = 0.50
-    stride_delta: int = 3
-    kappa: float = 2.0  # ROI scale during stable tracking
-
-    def __post_init__(self):
-        if self.stride_delta < 1:
-            raise ValueError("stride_delta must be >= 1")
-        if not 0.0 <= self.tau_s <= 1.0 or not 0.0 <= self.nms_iou <= 1.0:
-            raise ValueError("tau_s and nms_iou must be in [0,1]")
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be >= 1")
 
 
 class DetectorInterface(Protocol):
@@ -141,7 +126,7 @@ def schedule(t: int, delta: int, occ_prev: bool) -> tuple[bool, bool]:
 
 def provide(detector: DetectorInterface, frame: Frame, prev_box: Box,
             run: bool, full_frame: bool, last_set: DetectionSet,
-            cfg: SourceConfig) -> DetectionSet:
+            cfg: PipelineConfig) -> DetectionSet:
     """Fresh filtered detections when scheduled, otherwise the stale set."""
     if not run:
         return last_set

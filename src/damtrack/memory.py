@@ -4,57 +4,25 @@ Two bounded FIFO buffers back the tracker: a recent-appearance buffer (RAM) of
 geometrically verified boxes, and a stable-anchor buffer (DRM) promoted from
 RAM when appearance agrees over a sliding window. A third FIFO holds negative
 (distractor) descriptors used to penalize recovery candidates.
+
+The paper's Distractor-Resolving Memory, which stores hard negatives and
+penalizes their re-selection during recovery, is ``NegativeBank`` together
+with the ``gamma`` penalty of ``penalized_score``. The buffer named DRM here
+holds stable anchors of the target instead, and only stage 1 of recovery
+reads it.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from statistics import median
 from typing import Callable
 
 from .appearance import Descriptor, cosine
+from .config import PipelineConfig
 from .geometry import Box, area, iou
-
-
-@dataclass(frozen=True)
-class DamConfig:
-    """Capacities, gates, and scoring weights for the memory."""
-
-    ram_capacity: int = 10
-    drm_capacity: int = 10
-    tau_in: float = 0.50  # admission IoU gate
-    tau_a: float = 0.20  # admission relative-area gate
-    tau_sim: float = 0.85  # promotion window similarity
-    window_w: int = 5
-    m_min: int = 3
-    lambda_iou: float = 0.4
-    lambda_app: float = 0.3
-    lambda_mot: float = 0.2
-    lambda_time: float = 0.1
-    alpha: float = 0.05  # age decay for anchor scoring
-    gamma: float = 0.25  # distractor penalty weight
-    tau_acc: float = 0.30  # minimum accepted anchor score
-    neg_capacity: int = 20
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if min(self.ram_capacity, self.drm_capacity, self.neg_capacity) < 1:
-            raise ValueError("capacities must be >= 1")
-        if self.window_w < 1 or self.m_min < 1:
-            raise ValueError("window_w and m_min must be >= 1")
-        for name in ("tau_in", "tau_a", "tau_sim"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
-        for name in ("lambda_iou", "lambda_app", "lambda_mot", "lambda_time",
-                     "alpha", "gamma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
 
 
 @dataclass(frozen=True)
@@ -100,7 +68,7 @@ class NegativeBank:
 
 
 def score_anchor(entry: DrmEntry, b_ref: Box, phi_ref: Descriptor,
-                 pi_t: float, t: int, cfg: DamConfig) -> float:
+                 pi_t: float, t: int, cfg: PipelineConfig) -> float:
     """Raw anchor score: weighted IoU, appearance, motion prior, and recency."""
     if t < entry.promoted_at:
         raise ValueError(f"t={t} precedes anchor promotion time {entry.promoted_at}")
@@ -113,7 +81,7 @@ def score_anchor(entry: DrmEntry, b_ref: Box, phi_ref: Descriptor,
 
 
 def penalized_score(s: float, psi: Descriptor, bank: NegativeBank,
-                    cfg: DamConfig) -> float:
+                    cfg: PipelineConfig) -> float:
     """Raw score minus gamma times the best cosine to the negative bank."""
     if len(bank) == 0:
         return s
@@ -126,8 +94,8 @@ class DistractorAwareMemory:
     Every buffer is a bounded FIFO, so a long session holds constant memory.
     """
 
-    def __init__(self, cfg: DamConfig | None = None):
-        self.cfg = cfg or DamConfig()
+    def __init__(self, cfg: PipelineConfig | None = None):
+        self.cfg = cfg or PipelineConfig()
         self.ram: deque[RamEntry] = deque(maxlen=self.cfg.ram_capacity)
         self.drm: deque[DrmEntry] = deque(maxlen=self.cfg.drm_capacity)
         self.bank = NegativeBank(self.cfg.neg_capacity)
@@ -202,21 +170,3 @@ class DistractorAwareMemory:
 
     def add_negative(self, descriptor: Descriptor) -> None:
         self.bank.add(descriptor)
-
-    def dump_state(self) -> dict:
-        """JSON-ready snapshot with descriptor checksums, for tests/debugging."""
-
-        def crc(d: Descriptor) -> str:
-            return f"{zlib.crc32(d.tobytes()):08x}"
-
-        return {
-            "ram": [
-                {"box": e.box.to_dict(), "t": e.timestamp, "desc_crc": crc(e.descriptor)}
-                for e in self.ram
-            ],
-            "drm": [
-                {"box": e.box.to_dict(), "t": e.promoted_at, "desc_crc": crc(e.descriptor)}
-                for e in self.drm
-            ],
-            "negative": [{"desc_crc": crc(d)} for d in self.bank],
-        }

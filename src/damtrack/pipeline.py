@@ -11,61 +11,21 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .appearance import Descriptor, compute_descriptor, cosine, ncc_search
-from .detection import (DetectionSet, DetectorInterface, SourceConfig,
-                        provide, schedule)
+from .config import PipelineConfig
+from .detection import DetectionSet, DetectorInterface, provide, schedule
 from .geometry import (Box, FrameDims, Vec2, clamp_to_frame, iou,
                        norm_displacement, roi_crop, union_bbox)
 from .media import Frame, crop_rect
-from .memory import DamConfig, DistractorAwareMemory, penalized_score
+from .memory import DistractorAwareMemory, penalized_score
 from .tracker import MotionEstimator, TemplateTracker
 
 MODE_NORMAL = "NORMAL"
 MODE_HOLDING = "HOLDING"
-
-STAGE1_REINIT_MODES = ("ref", "anchor")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Switching, holding, and recovery thresholds plus embedded sub-configs."""
-
-    tau_conf: float = 0.35  # tracker confidence floor
-    tau_jump: float = 0.30  # normalized displacement ceiling
-    tau_occ: float = 0.40  # IoU for a detection to crowd the hypothesis
-    beta: float = 0.3  # held-box size blend
-    tau_match: float = 0.50  # detection re-alignment IoU
-    tau_snap: float = 0.50  # stage-2 acceptance
-    tau_prior: float = 0.20  # stage-2 motion-prior floor (locality gate)
-    tau_ncc: float = 0.60  # stage-3 acceptance
-    ncc_region_factor: float = 4.0  # stage-3 region scale around b_ref
-    # where a stage-1 accept resumes: "ref" at b_ref, "anchor" at the anchor box
-    stage1_reinit: str = "ref"
-    dam: DamConfig = field(default_factory=DamConfig)
-    source: SourceConfig = field(default_factory=SourceConfig)
-    # component switches for ablation runs
-    use_detector: bool = True
-    use_ram: bool = True
-    use_drm: bool = True
-    use_held: bool = True
-
-    def __post_init__(self):
-        for name in ("tau_conf", "tau_jump", "tau_occ", "beta", "tau_match",
-                     "tau_snap", "tau_prior", "tau_ncc"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
-        if self.ncc_region_factor < 1.0:
-            raise ValueError("ncc_region_factor must be >= 1")
-        if self.stage1_reinit not in STAGE1_REINIT_MODES:
-            raise ValueError(f"stage1_reinit must be one of {STAGE1_REINIT_MODES}")
-        if self.use_drm and not self.use_ram:
-            raise ValueError("use_drm requires use_ram")
-
 
 @dataclass(frozen=True)
 class TrackOutput:
@@ -140,7 +100,7 @@ class TrackerSession:
         self.detector = detector
         self.tracker = TemplateTracker()
         self.motion = MotionEstimator()
-        self.dam = DistractorAwareMemory(self.cfg.dam)
+        self.dam = DistractorAwareMemory(self.cfg)
         self.t = -1
         self.dims: FrameDims | None = None
         self.estimate: Box | None = None
@@ -186,10 +146,9 @@ class TrackerSession:
         # 1. detections (fresh on schedule, stale otherwise)
         ran = False
         if cfg.use_detector:
-            run, full = schedule(t, cfg.source.stride_delta,
-                                 self.mode == MODE_HOLDING)
+            run, full = schedule(t, cfg.delta, self.mode == MODE_HOLDING)
             dets = provide(self.detector, frame, prev, run, full,
-                           self.last_set, cfg.source)
+                           self.last_set, cfg)
             ran = run
         else:
             dets = DetectionSet(t, [])
@@ -335,7 +294,7 @@ class TrackerSession:
                     continue
                 desc = compute_descriptor(frame, d.box)
                 raw = 0.7 * cosine(desc, self.last_verified_descriptor) + 0.3 * pi
-                score = penalized_score(raw, desc, self.dam.bank, cfg.dam)
+                score = penalized_score(raw, desc, self.dam.bank, cfg)
                 if score > best_score:
                     best_score = score
                     best_box = d.box

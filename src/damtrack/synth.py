@@ -30,8 +30,8 @@ import numpy as np
 from .detection import Detection, write_detections_file
 from .geometry import Box, FrameDims
 from .media import Frame, write_pnm
-from .records import (json_int, read_json, read_jsonl, write_json,
-                      write_jsonl)
+from .records import (json_int, json_number, read_json, read_jsonl,
+                      write_json, write_jsonl)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -594,33 +594,53 @@ def _check_keys(data: dict, known: tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    return tuple(json_int(v, what) for v in values)
+
+
 def _object_from_dict(data: dict, what: str) -> ObjectSpec:
     _check_keys(data, ("color", "size", "texture_amp", "block",
                        "evolve_rate", "pattern_similarity", "waypoints"), what)
-    kw = dict(data)
-    kw["color"] = tuple(int(c) for c in kw["color"])
-    if "size" in kw:
-        kw["size"] = tuple(int(v) for v in kw["size"])
-    kw["waypoints"] = tuple(
-        (int(t), float(x), float(y)) for t, x, y in kw["waypoints"]
-    )
+    kw: dict = {
+        "color": _ints(data["color"], f"{what} color"),
+        "waypoints": tuple(
+            (json_int(t, f"{what} waypoint frame"),
+             json_number(x, f"{what} waypoint x"),
+             json_number(y, f"{what} waypoint y"))
+            for t, x, y in data["waypoints"]),
+    }
+    if "size" in data:
+        kw["size"] = _ints(data["size"], f"{what} size")
+    if "block" in data:
+        kw["block"] = json_int(data["block"], f"{what} block")
+    for key in ("texture_amp", "evolve_rate"):
+        if key in data:
+            kw[key] = json_number(data[key], f"{what} {key}")
+    # null is the default similarity: not a look-alike
+    if data.get("pattern_similarity") is not None:
+        kw["pattern_similarity"] = json_number(
+            data["pattern_similarity"], f"{what} pattern_similarity")
     return ObjectSpec(**kw)
 
 
 def scenario_spec_from_dict(data: dict) -> ScenarioSpec:
-    """Build a ScenarioSpec from its JSON form; unknown keys are rejected."""
+    """Build a ScenarioSpec from its JSON form; unknown keys are rejected,
+    and every count must be a JSON integer and every other number a JSON
+    number."""
     _check_keys(data, ("name", "seed", "length", "dims", "target",
                        "distractors", "occlusions", "noise"), "scenario")
+    if not isinstance(data["name"], str):
+        raise ValueError(f"name must be a string, got {data['name']!r}")
     kw: dict = {
-        "name": str(data["name"]),
-        "seed": int(data["seed"]),
+        "name": data["name"],
+        "seed": json_int(data["seed"], "seed"),
         "target": _object_from_dict(data["target"], "target"),
     }
     if "length" in data:
-        kw["length"] = int(data["length"])
+        kw["length"] = json_int(data["length"], "length")
     if "dims" in data:
-        w, h = data["dims"]
-        kw["dims"] = FrameDims(int(w), int(h))
+        w, h = _ints(data["dims"], "dims")
+        kw["dims"] = FrameDims(w, h)
     if "distractors" in data:
         kw["distractors"] = tuple(
             _object_from_dict(d, f"distractor {i}")
@@ -629,17 +649,24 @@ def scenario_spec_from_dict(data: dict) -> ScenarioSpec:
     if "occlusions" in data:
         occs = []
         for i, occ in enumerate(data["occlusions"]):
-            _check_keys(occ, ("start", "duration", "pad", "color"),
-                        f"occlusion {i}")
-            okw = dict(occ)
-            if "color" in okw:
-                okw["color"] = tuple(int(c) for c in okw["color"])
+            what = f"occlusion {i}"
+            _check_keys(occ, ("start", "duration", "pad", "color"), what)
+            okw = {key: json_int(occ[key], f"{what} {key}")
+                   for key in ("start", "duration", "pad") if key in occ}
+            if "color" in occ:
+                okw["color"] = _ints(occ["color"], f"{what} color")
             occs.append(OcclusionSpec(**okw))
         kw["occlusions"] = tuple(occs)
     if "noise" in data:
-        _check_keys(data["noise"], ("center_sigma", "size_sigma", "fp_rate",
-                                    "miss_rate", "blackout"), "noise")
-        kw["noise"] = NoiseSpec(**data["noise"])
+        noise = data["noise"]
+        _check_keys(noise, ("center_sigma", "size_sigma", "fp_rate",
+                            "miss_rate", "blackout"), "noise")
+        nkw = {key: json_number(noise[key], f"noise {key}")
+               for key in ("center_sigma", "size_sigma", "fp_rate",
+                           "miss_rate") if key in noise}
+        if "blackout" in noise:
+            nkw["blackout"] = json_int(noise["blackout"], "noise blackout")
+        kw["noise"] = NoiseSpec(**nkw)
     return ScenarioSpec(**kw)
 
 

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.fft import next_fast_len
@@ -204,25 +204,30 @@ def _window_sums(gray: np.ndarray, th: int, tw: int
         return (tab[th:, tw:] - tab[:-th, tw:] - tab[th:, :-tw]
                 + tab[:-th, :-tw])
 
-    return box_sum(ii).astype(np.float64), box_sum(ii2).astype(np.float64)
+    return box_sum(ii), box_sum(ii2)
 
 
 def reference_ncc(region: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """The straightforward kernel: fftconvolve plus int64 window sums."""
+    """The straightforward kernel: fftconvolve plus int64 window sums.
+
+    Both variances are the exact integers ``n * sum_sq - sum * sum`` over n
+    template pixels, so a near-flat window loses no precision.
+    """
     th, tw = template.shape
     rh, rw = region.shape
-    t = template.astype(np.float64)
-    t0 = t - t.mean()
-    t_ss = float(np.sum(t0 * t0))
-    if t_ss == 0.0:
+    n = th * tw
+    t = template.astype(np.int64)
+    t_var = float(n * np.sum(t * t) - np.sum(t) ** 2)
+    if t_var == 0.0:
         return np.zeros((rh - th + 1, rw - tw + 1))
+    t0 = t - t.mean()
     num = fftconvolve(region.astype(np.float64), t0[::-1, ::-1],
                       mode="valid")
     w_sum, w_ss = _window_sums(region, th, tw)
-    w_var = w_ss - w_sum * w_sum / (th * tw)
+    w_var = (n * w_ss - w_sum * w_sum).astype(np.float64)
     flat = w_var <= 0.0
-    denom = np.sqrt(np.where(flat, 1.0, w_var) * t_ss)
-    scores = np.where(flat, 0.0, num / denom)
+    denom = np.sqrt(np.where(flat, 1.0, w_var) * t_var)
+    scores = np.where(flat, 0.0, n * num / denom)
     return np.clip(scores, -1.0, 1.0)
 
 
@@ -279,8 +284,20 @@ def alias_edge_cases(draw):
     return region, draw(arrays(np.uint8, (th, tw)))
 
 
+def _near_flat_opposites() -> tuple[np.ndarray, np.ndarray]:
+    """75x75 region of 219 with one 221 and template of 1 with one 0 at the
+    same corner: exact score -1, which the lossy variance
+    ``w_ss - w_sum * w_sum / n`` read as -0.9999999965."""
+    region = np.full((75, 75), 219, np.uint8)
+    region[0, 0] = 221
+    template = np.ones((75, 75), np.uint8)
+    template[0, 0] = 0
+    return region, template
+
+
 @settings(max_examples=150, deadline=None)
 @given(alias_edge_cases())
+@example(_near_flat_opposites())
 def test_ncc_alias_free_at_fast_lengths(case):
     region, template = case
     got = ncc_scores(region, template)

@@ -71,6 +71,6 @@ def test_long_session_holds_flat_memory():
     growth = kept[2 * HALF] - kept[HALF]
     assert growth < 4096, f"kept heap grew {growth} B over {HALF} frames"
     dam = session.dam
-    assert 0 < len(dam.ram) <= cfg.dam.ram_capacity
-    assert 0 < len(dam.drm) <= cfg.dam.drm_capacity
-    assert 0 < len(dam.bank) <= cfg.dam.neg_capacity
+    assert 0 < len(dam.ram) <= cfg.ram_capacity
+    assert 0 < len(dam.drm) <= cfg.drm_capacity
+    assert 0 < len(dam.bank) <= cfg.neg_capacity

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import make_scene
+from damtrack.config import PipelineConfig
 from damtrack.detection import (Detection, DetectionSet, ScriptedDetector,
-                                SourceConfig, filter_confident, nms, provide,
+                                filter_confident, nms, provide,
                                 read_detections_file, schedule,
                                 write_detections_file)
 from damtrack.geometry import Box, iou
@@ -110,7 +111,7 @@ def test_scripted_detector_roi_filtering():
 def test_provide_stale_and_fresh():
     frame = make_scene(240, 180, [])
     prev = Box(8, 8, 14, 14)
-    cfg = SourceConfig(tau_s=0.45, nms_iou=0.5, stride_delta=3, kappa=2.0)
+    cfg = PipelineConfig(tau_s=0.45, nms_iou=0.5, delta=3, kappa=2.0)
     inside = Detection(Box(10, 10, 10, 10), 0.9)
     weak = Detection(Box(12, 12, 10, 10), 0.30)  # filtered by tau_s
     outside = Detection(Box(200, 100, 10, 10), 0.9)  # outside the ROI
@@ -128,7 +129,7 @@ def test_provide_applies_nms():
     a = Detection(Box(10, 10, 10, 10), 0.7)
     b = Detection(Box(11, 10, 10, 10), 0.95)
     det = ScriptedDetector({0: [a, b]})
-    cfg = SourceConfig()
+    cfg = PipelineConfig()
     out = provide(det, frame, Box(10, 10, 10, 10), True, True,
                   DetectionSet(0, []), cfg)
     assert out.detections == [b]
@@ -172,14 +173,3 @@ def test_detections_file_rejects_repeated_or_negative_frame(tmp_path, second):
         read_detections_file(str(path))
     assert f"{path}:2: bad detection record" in str(err.value)
     assert "negative or repeated" in str(err.value)
-
-
-def test_source_config_validation():
-    with pytest.raises(ValueError):
-        SourceConfig(stride_delta=0)
-    with pytest.raises(ValueError):
-        SourceConfig(tau_s=1.5)
-    with pytest.raises(ValueError):
-        SourceConfig(nms_iou=-0.1)
-    with pytest.raises(ValueError):
-        SourceConfig(kappa=0.9)

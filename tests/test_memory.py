@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damtrack.config import PipelineConfig
 from damtrack.geometry import Box, area, iou
-from damtrack.memory import (DamConfig, DistractorAwareMemory, DrmEntry,
-                             NegativeBank, RamEntry, penalized_score,
-                             score_anchor)
+from damtrack.memory import (DistractorAwareMemory, DrmEntry, NegativeBank,
+                             RamEntry, penalized_score, score_anchor)
 
 
 def unit_vec(rng, n: int = 16) -> np.ndarray:
@@ -33,29 +33,11 @@ def random_box(rng, lim: float = 80.0) -> Box:
                float(rng.uniform(4, 30)), float(rng.uniform(4, 30)))
 
 
-# --- config -------------------------------------------------------------------
-
-
-def test_dam_config_validation():
-    with pytest.raises(ValueError):
-        DamConfig(ram_capacity=0)
-    with pytest.raises(ValueError):
-        DamConfig(neg_capacity=0)
-    with pytest.raises(ValueError):
-        DamConfig(window_w=0)
-    with pytest.raises(ValueError):
-        DamConfig(tau_in=1.5)
-    with pytest.raises(ValueError):
-        DamConfig(lambda_app=-0.1)
-    with pytest.raises(ValueError):
-        DamConfig(epsilon=0.0)
-
-
 # --- admission ----------------------------------------------------------------
 
 
 def test_admission_requires_both_gates(rng):
-    dam = DistractorAwareMemory(DamConfig(tau_in=0.5, tau_a=0.2))
+    dam = DistractorAwareMemory(PipelineConfig(tau_in=0.5, tau_a=0.2))
     base = Box(10, 10, 20, 20)
     desc = unit_vec(rng)
     # empty RAM: the area reference is the candidate itself, IoU decides
@@ -70,7 +52,7 @@ def test_admission_requires_both_gates(rng):
 
 
 def test_admission_matches_reevaluation(rng):
-    cfg = DamConfig(tau_in=0.5, tau_a=0.2)
+    cfg = PipelineConfig(tau_in=0.5, tau_a=0.2)
     dam = DistractorAwareMemory(cfg)
     prev = Box(20, 20, 20, 20)
     for t in range(60):
@@ -88,7 +70,8 @@ def test_admission_matches_reevaluation(rng):
 
 
 def test_ram_fifo_eviction(rng):
-    dam = DistractorAwareMemory(DamConfig(ram_capacity=3, tau_in=0.0, tau_a=1.0))
+    dam = DistractorAwareMemory(
+        PipelineConfig(ram_capacity=3, tau_in=0.0, tau_a=1.0))
     b = Box(0, 0, 10, 10)
     for t in range(5):
         assert dam.ram_admit(b, unit_vec(rng), b, t)
@@ -96,7 +79,7 @@ def test_ram_fifo_eviction(rng):
 
 
 def test_median_area(rng):
-    dam = DistractorAwareMemory(DamConfig(tau_in=0.0, tau_a=1.0))
+    dam = DistractorAwareMemory(PipelineConfig(tau_in=0.0, tau_a=1.0))
     assert dam.median_area() is None
     sizes = [(10, 10), (10, 20), (10, 30), (10, 16)]
     for t, (w, h) in enumerate(sizes):
@@ -108,9 +91,10 @@ def test_median_area(rng):
 
 
 def promote_ready_dam(rng, cosines: list[float],
-                      cfg: DamConfig | None = None) -> DistractorAwareMemory:
+                      cfg: PipelineConfig | None = None
+                      ) -> DistractorAwareMemory:
     """RAM whose newest entry has the given cosines to the older window."""
-    cfg = cfg or DamConfig(tau_in=0.0, tau_a=1.0)
+    cfg = cfg or PipelineConfig(tau_in=0.0, tau_a=1.0)
     dam = DistractorAwareMemory(cfg)
     newest = unit_vec(rng, 16)
     b = Box(0, 0, 10, 10)
@@ -156,7 +140,8 @@ def test_promotion_preconditions(rng):
 
 
 def test_drm_fifo_eviction(rng):
-    cfg = DamConfig(tau_in=0.0, tau_a=1.0, drm_capacity=2, window_w=1, m_min=1)
+    cfg = PipelineConfig(tau_in=0.0, tau_a=1.0, drm_capacity=2, window_w=1,
+                         m_min=1)
     dam = DistractorAwareMemory(cfg)
     b = Box(0, 0, 10, 10)
     for t in range(3):
@@ -169,7 +154,7 @@ def test_drm_fifo_eviction(rng):
 
 
 def test_score_anchor_hand_value(rng):
-    cfg = DamConfig()
+    cfg = PipelineConfig()
     b = Box(0, 0, 10, 10)
     phi = unit_vec(rng)
     entry = DrmEntry(Box(0, 0, 10, 10), phi.copy(), promoted_at=6)
@@ -181,7 +166,7 @@ def test_score_anchor_hand_value(rng):
 
 
 def test_penalized_score(rng):
-    cfg = DamConfig(gamma=0.25)
+    cfg = PipelineConfig(gamma=0.25)
     bank = NegativeBank(4)
     psi = unit_vec(rng)
     assert penalized_score(0.8, psi, bank, cfg) == 0.8  # empty bank
@@ -217,7 +202,7 @@ def brute_force_best(dam: DistractorAwareMemory, b_ref: Box,
 
 
 def build_random_dam(rng) -> DistractorAwareMemory:
-    dam = DistractorAwareMemory(DamConfig(
+    dam = DistractorAwareMemory(PipelineConfig(
         alpha=float(rng.uniform(0.01, 0.2)),
         gamma=float(rng.uniform(0.0, 0.5)),
         tau_acc=float(rng.uniform(0.0, 0.8)),
@@ -250,7 +235,7 @@ def test_best_anchor_matches_brute_force(rng):
 
 
 def test_best_anchor_tie_keeps_newest(rng):
-    dam = DistractorAwareMemory(DamConfig(tau_acc=0.0))
+    dam = DistractorAwareMemory(PipelineConfig(tau_acc=0.0))
     desc = unit_vec(rng)
     b = Box(0, 0, 10, 10)
     first = DrmEntry(b, desc, 5)
@@ -261,7 +246,7 @@ def test_best_anchor_tie_keeps_newest(rng):
 
 
 def test_best_anchor_empty_and_below_floor(rng):
-    dam = DistractorAwareMemory(DamConfig(tau_acc=0.99))
+    dam = DistractorAwareMemory(PipelineConfig(tau_acc=0.99))
     no_prior = lambda _box: 0.0
     assert dam.best_anchor(Box(0, 0, 5, 5), unit_vec(rng), no_prior, 0) is None
     dam.drm.append(DrmEntry(Box(50, 50, 5, 5), unit_vec(rng), 0))
@@ -305,7 +290,7 @@ _OPS = st.lists(st.tuples(st.sampled_from(["admit", "promote", "negative"]),
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
        st.integers(1, 3), _OPS)
 def test_buffers_never_exceed_capacities(ram_cap, drm_cap, neg_cap, m_min, ops):
-    cfg = DamConfig(ram_capacity=ram_cap, drm_capacity=drm_cap,
+    cfg = PipelineConfig(ram_capacity=ram_cap, drm_capacity=drm_cap,
                     neg_capacity=neg_cap, tau_sim=0.5, m_min=m_min)
     dam = DistractorAwareMemory(cfg)
     for t, (op, side, seed) in enumerate(ops):
@@ -323,19 +308,3 @@ def test_buffers_never_exceed_capacities(ram_cap, drm_cap, neg_cap, m_min, ops):
         assert len(dam.ram) <= ram_cap
         assert len(dam.drm) <= drm_cap
         assert len(dam.bank) <= neg_cap
-
-
-# --- bookkeeping --------------------------------------------------------------
-
-
-def test_dump_state_stable_and_sensitive(rng):
-    dam = DistractorAwareMemory()
-    b = Box(0, 0, 10, 10)
-    dam.ram_admit(b, unit_vec(rng), b, 0)
-    dam.add_negative(unit_vec(rng))
-    snap1 = dam.dump_state()
-    snap2 = dam.dump_state()
-    assert snap1 == snap2
-    assert snap1["ram"][0]["box"] == b.to_dict()
-    dam.add_negative(unit_vec(rng))
-    assert dam.dump_state() != snap1

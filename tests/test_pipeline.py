@@ -16,7 +16,6 @@ from conftest import make_block_patch, make_scene, tiny_scenario
 from damtrack.detection import Detection, ScriptedDetector, DetectionSet
 from damtrack.geometry import Box, FrameDims, Vec2
 from damtrack.media import Frame
-from damtrack.memory import DamConfig
 from damtrack.pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig,
                                TrackerSession, compute_switch,
                                detect_occlusion_set, motion_prior,
@@ -351,7 +350,7 @@ def test_stage2_penalizes_banked_look_alike():
     picked = {}
     for gamma in (0.0, 1.0):
         # neither half-match reaches the default acceptance once penalized
-        cfg = PipelineConfig(tau_snap=0.3, dam=DamConfig(gamma=gamma))
+        cfg = PipelineConfig(tau_snap=0.3, gamma=gamma)
         outputs, _, session = run_frames(frames, start, per_frame, cfg)
         assert len(session.dam.bank) == 1
         assert outputs[7].recovery_stage == 2
@@ -394,4 +393,14 @@ def test_run_is_deterministic():
     run_a = run_sequence(out.frames(), out.init_box, det, cfg)
     run_b = run_sequence(out.frames(), out.init_box, det, cfg)
     assert run_a[0] == run_b[0]  # identical outputs, conf included
-    assert run_a[2].dam.dump_state() == run_b[2].dam.dump_state()
+
+    def memory(session):
+        # boxes, timestamps and descriptor bytes of every stored entry
+        dam = session.dam
+        return ([(e.box, e.timestamp, e.descriptor.tobytes()) for e in dam.ram],
+                [(e.box, e.promoted_at, e.descriptor.tobytes())
+                 for e in dam.drm],
+                [d.tobytes() for d in dam.bank])
+
+    assert memory(run_a[2]) == memory(run_b[2])
+    assert memory(run_a[2])[0]  # RAM holds at least the init entry

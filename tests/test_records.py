@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import io
+import json
 import os
 import re
 
@@ -16,7 +18,8 @@ from damtrack.cli import main, read_track_file
 from damtrack.config import load_config
 from damtrack.detection import read_detections_file
 from damtrack.geometry import Box
-from damtrack.synth import read_events_file, read_gt_file
+from damtrack.synth import (generate, read_events_file, read_gt_file,
+                            scenario_spec_from_dict)
 
 _BOX = '{"x": 1, "y": 2, "w": 3, "h": 4}'
 
@@ -170,3 +173,68 @@ def test_only_records_parses_or_dumps_json():
             elif isinstance(node, ast.ImportFrom) and node.module == "json":
                 offenders.append(f"{name}:{node.lineno}: from json import")
     assert not offenders, offenders
+
+
+# a small valid scenario spec; each case below mistypes one of its fields
+_SPEC = {
+    "name": "typed", "seed": 7, "length": 20, "dims": [96, 64],
+    "target": {"color": [200, 60, 60], "size": [12, 12], "texture_amp": 0.8,
+               "block": 4, "evolve_rate": 0.0,
+               "waypoints": [[0, 30, 30], [19, 40, 30]]},
+    "distractors": [{"color": [200, 60, 60], "size": [12, 12],
+                     "pattern_similarity": 0.5, "waypoints": [[0, 70, 40]]}],
+    "occlusions": [{"start": 5, "duration": 4, "pad": 4,
+                    "color": [98, 102, 114]}],
+    "noise": {"center_sigma": 1.0, "size_sigma": 0.5, "fp_rate": 0.1,
+              "miss_rate": 0.0, "blackout": 1},
+}
+
+# (path to the field, wrong value); each used to load, by int(), float() or
+# str(), or raw
+_SPEC_CASES = {
+    "name_number": (("name",), 5),
+    "seed_fraction": (("seed",), 7.9),
+    "seed_string": (("seed",), "7"),
+    "length_fraction": (("length",), 20.6),
+    "dims_fraction_and_string": (("dims",), [96.5, "64"]),
+    "size_string_and_bool": (("target", "size"), ["12", True]),
+    "color_bool": (("target", "color"), [200, True, 60]),
+    "block_fraction": (("target", "block"), 4.5),
+    "texture_amp_string": (("target", "texture_amp"), "0.8"),
+    "evolve_rate_bool": (("target", "evolve_rate"), True),
+    "waypoint_frame_fraction": (("target", "waypoints"),
+                                [[0.5, 30, 30], [19, 40, 30]]),
+    "waypoint_x_string": (("target", "waypoints"),
+                          [[0, "30", 30], [19, 40, 30]]),
+    "similarity_string": (("distractors", 0, "pattern_similarity"), "0.5"),
+    "start_fraction": (("occlusions", 0, "start"), 5.7),
+    "duration_bool": (("occlusions", 0, "duration"), True),
+    "pad_string": (("occlusions", 0, "pad"), "4"),
+    "occluder_color_fraction": (("occlusions", 0, "color"), [98, 102.5, 114]),
+    "sigma_bool": (("noise", "center_sigma"), True),
+    "fp_rate_string": (("noise", "fp_rate"), "0.1"),
+    "blackout_fraction": (("noise", "blackout"), 2.5),
+}
+
+
+def test_spec_cases_start_from_a_valid_spec():
+    spec = scenario_spec_from_dict(copy.deepcopy(_SPEC))
+    assert spec.seed == 7 and spec.noise.blackout == 1
+    assert generate(spec).gt_boxes[0] is not None
+
+
+@pytest.mark.parametrize("case", sorted(_SPEC_CASES))
+def test_scenario_spec_fields_are_typed(tmp_path, case):
+    where, value = _SPEC_CASES[case]
+    data = copy.deepcopy(_SPEC)
+    parent = data
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as err:
+        _synth_spec(str(path))
+    assert f"{path}: bad scenario spec" in str(err.value)
+    assert re.search(r"must be an? (integer|number|string)", str(err.value))
+    assert not os.path.exists(tmp_path / "out")
