@@ -38,22 +38,22 @@ def write_track_file(path: str, outputs: list[TrackOutput]) -> None:
     write_jsonl(path, (out.to_record() for out in outputs))
 
 
-def read_track_file(path: str) -> tuple[list[Box], list[str]]:
-    """Per-frame boxes and modes of a track file, in frame order."""
+def read_track_file(path: str) -> list[Box]:
+    """Per-frame boxes of a track file, in frame order; every record must
+    still carry its mode."""
     boxes: list[Box] = []
-    modes: list[str] = []
 
     def parse(rec: dict) -> None:
         if json_int(rec["t"], "t") != len(boxes):
             raise ValueError("non-contiguous frame index")
-        box, mode = Box.from_dict(rec["box"]), str(rec["mode"])
-        boxes.append(box)
-        modes.append(mode)
+        if not isinstance(rec["mode"], str):
+            raise TypeError(f"mode must be a string, got {rec['mode']!r}")
+        boxes.append(Box.from_dict(rec["box"]))
 
     read_jsonl(path, "track", parse)
     if not boxes:
         raise ValueError(f"{path}: empty track file")
-    return boxes, modes
+    return boxes
 
 
 def _parse_init(text: str) -> Box:
@@ -203,13 +203,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    boxes, modes = read_track_file(args.pred)
+    boxes = read_track_file(args.pred)
     gt, _occ = read_gt_file(args.gt)
     if len(boxes) != len(gt):
         raise ValueError(f"prediction/ground-truth length mismatch: "
                          f"{len(boxes)} vs {len(gt)}")
     ious = [None if g is None else iou(b, g) for b, g in zip(boxes, gt)]
-    result = SequenceResult(ious, modes, [0.0] * len(ious))
+    result = SequenceResult(ious, [0.0] * len(ious))
     report: dict = {
         "frames": len(ious),
         "mean_iou": mean_iou(result),

@@ -2,18 +2,17 @@
 
 ``PipelineConfig`` is the one config class, and each of its fields is named
 as its JSON key, so the on-disk format is the class itself and experiment
-configs stay greppable. Unknown keys are rejected to catch typos, any subset
-of keys is accepted with defaults filling the rest, and each value must have
-its field's JSON type.
+configs stay greppable. ``records.decode`` reads it: unknown keys are
+rejected to catch typos, any subset of keys is accepted with defaults filling
+the rest, and each value must have its field's JSON type (a float key a
+finite JSON number, an int key a JSON integer, a switch true or false).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any
 
-from .records import json_int, json_number, read_json, write_json
+from .records import decode, read_json, write_json
 
 STAGE1_REINIT_MODES = ("ref", "anchor")
 
@@ -89,9 +88,7 @@ class PipelineConfig:
             raise ValueError("use_drm requires use_ram")
 
 
-# field annotations are strings under postponed evaluation
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-KNOWN_KEYS = tuple(_FIELD_TYPES)
+KNOWN_KEYS = tuple(f.name for f in fields(PipelineConfig))
 
 # fields scaled by perturbation sweeps: every [0,1] threshold and weight;
 # integer counts, capacities, and strides are excluded
@@ -104,40 +101,12 @@ PERTURBABLE = (
 )
 
 
-def _decode(key: str, value: Any) -> Any:
-    """value if it has the JSON type of key's field. JSON has one number
-    type and truthy strings, so "delta": 2.5 would otherwise reach an integer
-    field and "use_drm": "false" a switch."""
-    what = f"config key {key}"
-    kind = _FIELD_TYPES[key]
-    if kind == "int":
-        return json_int(value, what)
-    if kind == "float":
-        number = json_number(value, what)
-        if not math.isfinite(number):
-            raise ValueError(f"{what} must be finite, got {value!r}")
-        return number
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ValueError(f"{what} must be true or false, got {value!r}")
-        return value
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
 def config_to_dict(cfg: PipelineConfig) -> dict:
     return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise TypeError("config must be a flat JSON object")
-    unknown = sorted(set(data) - set(KNOWN_KEYS))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return PipelineConfig(**{key: _decode(key, value)
-                             for key, value in data.items()})
+    return decode(PipelineConfig, data, "config")
 
 
 def load_config(path: str) -> PipelineConfig:

@@ -74,6 +74,8 @@ class FrameDims:
 
     width: int
     height: int
+    # its JSON form is the array [width, height] (see records.decode)
+    JSON_ARRAY = True
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:

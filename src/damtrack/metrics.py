@@ -26,11 +26,10 @@ class SequenceResult:
     """Per-frame scores for one tracked sequence."""
 
     ious: list[float | None]  # None where ground truth is occluded
-    modes: list[str]
     times: list[float]  # wall-clock seconds per frame
 
     def __post_init__(self):
-        if len(self.ious) != len(self.modes) or len(self.ious) != len(self.times):
+        if len(self.ious) != len(self.times):
             raise ValueError("per-frame traces must have equal lengths")
 
 
@@ -47,7 +46,7 @@ def evaluate(outputs: list[TrackOutput], gt_boxes: list[Box | None],
         ious.append(None if gt is None else iou(out.box, gt))
     if times is None:
         times = [0.0] * len(outputs)
-    return SequenceResult(ious, [o.mode for o in outputs], times)
+    return SequenceResult(ious, times)
 
 
 def mean_iou(result: SequenceResult) -> float:

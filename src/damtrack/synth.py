@@ -16,13 +16,17 @@ block flips) so appearance drifts over the sequence. The scripted detections
 carry center/size jitter, occasional false positives, guaranteed misses while
 the target is fully covered, and an optional post-occlusion blackout that
 models detector re-acquisition delay.
+
+A spec file is read by ``records.decode`` from the field types of the spec
+classes. The classes check their own ranges, so a spec built in Python is
+held to the same rules as one read from a file.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -30,8 +34,8 @@ import numpy as np
 from .detection import Detection, write_detections_file
 from .geometry import Box, FrameDims
 from .media import Frame, write_pnm
-from .records import (json_int, json_number, read_json, read_jsonl,
-                      write_json, write_jsonl)
+from .records import (decode, json_int, read_json, read_jsonl, write_json,
+                      write_jsonl)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -124,6 +128,14 @@ class ObjectSpec:
     def __post_init__(self):
         if not self.waypoints:
             raise ValueError("object needs at least one waypoint")
+        _check_color(self.color)
+        if min(self.size) < 1:
+            raise ValueError(f"size must be >= 1, got {self.size}")
+        if self.block < 1:
+            raise ValueError(f"block must be >= 1, got {self.block}")
+        if not 0.0 <= self.evolve_rate <= 1.0:
+            raise ValueError(
+                f"evolve_rate must be in [0,1], got {self.evolve_rate}")
         if not 0.0 <= self.texture_amp <= 1.0:
             raise ValueError("texture_amp must be in [0,1]")
         if self.pattern_similarity is not None:
@@ -136,6 +148,11 @@ class ObjectSpec:
 
 
 BACKGROUND_COLOR = (98, 102, 114)
+
+
+def _check_color(color: tuple[int, int, int]) -> None:
+    if min(color) < 0 or max(color) > 255:
+        raise ValueError(f"color channels must be in [0,255], got {color}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,15 @@ class OcclusionSpec:
     pad: int = 8
     color: tuple[int, int, int] = BACKGROUND_COLOR
 
+    def __post_init__(self):
+        if self.start < 0:
+            raise ValueError(f"start must be >= 0, got {self.start}")
+        if self.duration < 1:
+            raise ValueError(f"duration must be >= 1, got {self.duration}")
+        if self.pad < 0:
+            raise ValueError(f"pad must be >= 0, got {self.pad}")
+        _check_color(self.color)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -166,6 +192,19 @@ class NoiseSpec:
     fp_rate: float = 0.0
     miss_rate: float = 0.0  # random misses on visible frames
     blackout: int = 0  # detector re-acquisition delay after each occlusion
+
+    def __post_init__(self):
+        # negated, so that a NaN fails too
+        for name in ("center_sigma", "size_sigma"):
+            v = getattr(self, name)
+            if not v >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {v}")
+        for name in ("fp_rate", "miss_rate"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0,1], got {v}")
+        if self.blackout < 0:
+            raise ValueError(f"blackout must be >= 0, got {self.blackout}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +222,7 @@ class ScenarioSpec:
         if self.length < 2:
             raise ValueError("scenario needs at least 2 frames")
         for occ in self.occlusions:
-            if occ.start < 0 or occ.start + occ.duration > self.length:
+            if occ.start + occ.duration > self.length:
                 raise ValueError(f"occlusion window [{occ.start}, "
                                  f"{occ.start + occ.duration}) outside scenario")
         # the covered flag tests each cover on its own, so two covers active
@@ -588,119 +627,13 @@ def read_events_file(path: str) -> list[tuple[int, int]]:
 # --- spec (de)serialization ---------------------------------------------------
 
 
-def _check_keys(data: dict, known: tuple[str, ...], what: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(f"{what}: unknown keys: {', '.join(unknown)}")
-
-
-def _ints(values, what: str) -> tuple[int, ...]:
-    return tuple(json_int(v, what) for v in values)
-
-
-def _object_from_dict(data: dict, what: str) -> ObjectSpec:
-    _check_keys(data, ("color", "size", "texture_amp", "block",
-                       "evolve_rate", "pattern_similarity", "waypoints"), what)
-    kw: dict = {
-        "color": _ints(data["color"], f"{what} color"),
-        "waypoints": tuple(
-            (json_int(t, f"{what} waypoint frame"),
-             json_number(x, f"{what} waypoint x"),
-             json_number(y, f"{what} waypoint y"))
-            for t, x, y in data["waypoints"]),
-    }
-    if "size" in data:
-        kw["size"] = _ints(data["size"], f"{what} size")
-    if "block" in data:
-        kw["block"] = json_int(data["block"], f"{what} block")
-    for key in ("texture_amp", "evolve_rate"):
-        if key in data:
-            kw[key] = json_number(data[key], f"{what} {key}")
-    # null is the default similarity: not a look-alike
-    if data.get("pattern_similarity") is not None:
-        kw["pattern_similarity"] = json_number(
-            data["pattern_similarity"], f"{what} pattern_similarity")
-    return ObjectSpec(**kw)
-
-
 def scenario_spec_from_dict(data: dict) -> ScenarioSpec:
-    """Build a ScenarioSpec from its JSON form; unknown keys are rejected,
-    and every count must be a JSON integer and every other number a JSON
-    number."""
-    _check_keys(data, ("name", "seed", "length", "dims", "target",
-                       "distractors", "occlusions", "noise"), "scenario")
-    if not isinstance(data["name"], str):
-        raise ValueError(f"name must be a string, got {data['name']!r}")
-    kw: dict = {
-        "name": data["name"],
-        "seed": json_int(data["seed"], "seed"),
-        "target": _object_from_dict(data["target"], "target"),
-    }
-    if "length" in data:
-        kw["length"] = json_int(data["length"], "length")
-    if "dims" in data:
-        w, h = _ints(data["dims"], "dims")
-        kw["dims"] = FrameDims(w, h)
-    if "distractors" in data:
-        kw["distractors"] = tuple(
-            _object_from_dict(d, f"distractor {i}")
-            for i, d in enumerate(data["distractors"])
-        )
-    if "occlusions" in data:
-        occs = []
-        for i, occ in enumerate(data["occlusions"]):
-            what = f"occlusion {i}"
-            _check_keys(occ, ("start", "duration", "pad", "color"), what)
-            okw = {key: json_int(occ[key], f"{what} {key}")
-                   for key in ("start", "duration", "pad") if key in occ}
-            if "color" in occ:
-                okw["color"] = _ints(occ["color"], f"{what} color")
-            occs.append(OcclusionSpec(**okw))
-        kw["occlusions"] = tuple(occs)
-    if "noise" in data:
-        noise = data["noise"]
-        _check_keys(noise, ("center_sigma", "size_sigma", "fp_rate",
-                            "miss_rate", "blackout"), "noise")
-        nkw = {key: json_number(noise[key], f"noise {key}")
-               for key in ("center_sigma", "size_sigma", "fp_rate",
-                           "miss_rate") if key in noise}
-        if "blackout" in noise:
-            nkw["blackout"] = json_int(noise["blackout"], "noise blackout")
-        kw["noise"] = NoiseSpec(**nkw)
-    return ScenarioSpec(**kw)
+    """A ScenarioSpec from its JSON form; errors name the dotted path."""
+    return decode(ScenarioSpec, data, "scenario")
 
 
 def scenario_spec_to_dict(spec: ScenarioSpec) -> dict:
-    def obj(o: ObjectSpec) -> dict:
-        d = {
-            "color": list(o.color),
-            "size": list(o.size),
-            "texture_amp": o.texture_amp,
-            "block": o.block,
-            "evolve_rate": o.evolve_rate,
-            "waypoints": [[t, x, y] for t, x, y in o.waypoints],
-        }
-        if o.pattern_similarity is not None:
-            d["pattern_similarity"] = o.pattern_similarity
-        return d
-
-    return {
-        "name": spec.name,
-        "seed": spec.seed,
-        "length": spec.length,
-        "dims": [spec.dims.width, spec.dims.height],
-        "target": obj(spec.target),
-        "distractors": [obj(d) for d in spec.distractors],
-        "occlusions": [
-            {"start": o.start, "duration": o.duration, "pad": o.pad,
-             "color": list(o.color)}
-            for o in spec.occlusions
-        ],
-        "noise": {
-            "center_sigma": spec.noise.center_sigma,
-            "size_sigma": spec.noise.size_sigma,
-            "fp_rate": spec.noise.fp_rate,
-            "miss_rate": spec.noise.miss_rate,
-            "blackout": spec.noise.blackout,
-        },
-    }
+    """The JSON form: the fields by name, with dims as [width, height]."""
+    data = asdict(spec)
+    data["dims"] = [spec.dims.width, spec.dims.height]
+    return data

@@ -73,11 +73,12 @@ def test_eval_valid_inputs(eval_inputs):
     '{"t": 1, "box": {"x": 1, "y": 2, "w": 3}, "mode": "stable"}\n',
     '{"t": 1, "box": null, "mode": "stable"}\n',
     '{"t": 1, "box": {"x": 1, "y": 2, "w": 3, "h": 4}}\n',  # no mode
+    '{"t": 1, "box": {"x": 1, "y": 2, "w": 3, "h": 4}, "mode": 5}\n',
     '{"t": "one", "box": {"x": 1, "y": 2, "w": 3, "h": 4}, "mode": "x"}\n',
     '[1, 2]\n',
     '{"t": 1, "box": \n',                                 # not JSON
-], ids=["no_box", "short_box", "null_box", "no_mode", "bad_t", "not_object",
-        "not_json"])
+], ids=["no_box", "short_box", "null_box", "no_mode", "number_mode", "bad_t",
+        "not_object", "not_json"])
 def test_eval_bad_track_record_names_file_and_line(eval_inputs, tmp_path,
                                                    capsys, line):
     good = {"t": 0, "box": _BOX, "mode": "stable"}

@@ -21,7 +21,7 @@ def out_at(t: int, box: Box) -> TrackOutput:
 def seq(ious: list[float | None], times: list[float] | None = None,
         ) -> SequenceResult:
     n = len(ious)
-    return SequenceResult(ious, ["NORMAL"] * n, times or [0.0] * n)
+    return SequenceResult(ious, times or [0.0] * n)
 
 
 # --- evaluate -----------------------------------------------------------------
@@ -35,7 +35,6 @@ def test_evaluate_maps_occluded_frames_to_none():
     assert result.ious[0] == 1.0
     assert result.ious[1] is None
     assert result.ious[2] == pytest.approx(5 / 15)
-    assert result.modes == ["NORMAL"] * 3
     assert result.times == [0.0] * 3
 
 
@@ -47,7 +46,7 @@ def test_evaluate_rejects_length_mismatch():
 
 def test_sequence_result_rejects_ragged_traces():
     with pytest.raises(ValueError):
-        SequenceResult([1.0, 0.5], ["NORMAL"], [0.0, 0.0])
+        SequenceResult([1.0, 0.5], [0.0])
 
 
 # --- accuracy -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every JSON and JSON Lines reader names the file (and the line) on bad
-input, and no module but ``records`` parses or dumps JSON itself."""
+input, no module but ``records`` parses or dumps JSON itself, and the one
+typed decoder reads the config and the scenario spec by their fields."""
 
 from __future__ import annotations
 
@@ -8,18 +9,25 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import damtrack
+from conftest import tiny_scenario
 from damtrack.cli import main, read_track_file
-from damtrack.config import load_config
+from damtrack.config import PipelineConfig, load_config
 from damtrack.detection import read_detections_file
-from damtrack.geometry import Box
-from damtrack.synth import (generate, read_events_file, read_gt_file,
-                            scenario_spec_from_dict)
+from damtrack.geometry import Box, FrameDims
+from damtrack.records import decode
+from damtrack.synth import (NoiseSpec, ObjectSpec, ScenarioSpec, generate,
+                            read_events_file, read_gt_file,
+                            scenario_spec_from_dict, scenario_spec_to_dict,
+                            standard_suite)
 
 _BOX = '{"x": 1, "y": 2, "w": 3, "h": 4}'
 
@@ -238,3 +246,155 @@ def test_scenario_spec_fields_are_typed(tmp_path, case):
     assert f"{path}: bad scenario spec" in str(err.value)
     assert re.search(r"must be an? (integer|number|string)", str(err.value))
     assert not os.path.exists(tmp_path / "out")
+
+
+def _with(where: tuple, value) -> dict:
+    """A copy of _SPEC with the field at where set to value."""
+    data = copy.deepcopy(_SPEC)
+    parent = data
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return data
+
+
+# one case per range rule of the spec classes: the path to the field, a
+# value just outside the range, the value at the edge it accepts (None: no
+# edge), and the field the error must name; each used to load, or to fail
+# later without naming the field
+_RANGE_CASES = {
+    "center_sigma_negative": (("noise", "center_sigma"), -0.1, 0.0,
+                              "center_sigma"),
+    "center_sigma_nan": (("noise", "center_sigma"), math.nan, None,
+                         "center_sigma"),
+    "size_sigma_negative": (("noise", "size_sigma"), -0.1, 0.0, "size_sigma"),
+    "fp_rate_above_one": (("noise", "fp_rate"), 7.0, 1.0, "fp_rate"),
+    "fp_rate_negative": (("noise", "fp_rate"), -0.1, 0.0, "fp_rate"),
+    "miss_rate_above_one": (("noise", "miss_rate"), 1.1, 1.0, "miss_rate"),
+    "blackout_negative": (("noise", "blackout"), -3, 0, "blackout"),
+    "start_negative": (("occlusions", 0, "start"), -1, 0, "start"),
+    "duration_zero": (("occlusions", 0, "duration"), 0, 1, "duration"),
+    "pad_negative": (("occlusions", 0, "pad"), -50, 0, "pad"),
+    "occluder_color_above_255": (("occlusions", 0, "color"), [98, 256, 114],
+                                 [98, 255, 114], "color"),
+    "target_color_out_of_range": (("target", "color"), [999, -4, 3],
+                                  [255, 0, 3], "color"),
+    "size_zero": (("target", "size"), [12, 0], [12, 1], "size"),
+    "block_zero": (("target", "block"), 0, 1, "block"),
+    "evolve_rate_above_one": (("target", "evolve_rate"), 1.5, 1.0,
+                              "evolve_rate"),
+    "evolve_rate_negative": (("target", "evolve_rate"), -0.1, 0.0,
+                             "evolve_rate"),
+    # a rule's error is prefixed by the path of the object that broke it
+    "distractor_color_negative": (("distractors", 0, "color"), [-1, 60, 60],
+                                  [0, 60, 60], "distractors[0]: color"),
+    # wrong lengths: a two-channel colour used to fail at the first rendered
+    # frame, a three-item size inside generate
+    "color_too_short": (("target", "color"), [200, 60], None, "color"),
+    "size_too_long": (("target", "size"), [12, 12, 5], None, "size"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RANGE_CASES))
+def test_scenario_spec_range_rules(tmp_path, case):
+    where, bad, edge, field = _RANGE_CASES[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_with(where, bad)))
+    with pytest.raises(ValueError) as err:
+        _synth_spec(str(path))
+    assert f"{path}: bad scenario spec" in str(err.value)
+    assert field in str(err.value)
+    assert not os.path.exists(tmp_path / "out")
+    if edge is not None:
+        scenario_spec_from_dict(_with(where, edge))
+
+
+def test_spec_classes_check_their_ranges_when_built_in_python():
+    with pytest.raises(ValueError, match="center_sigma"):
+        NoiseSpec(center_sigma=math.nan)
+    with pytest.raises(ValueError, match="block"):
+        ObjectSpec(color=(1, 2, 3), block=0, waypoints=((0, 1.0, 1.0),))
+
+
+def test_decode_names_a_missing_key_by_its_path():
+    data = copy.deepcopy(_SPEC)
+    del data["target"]["color"]
+    with pytest.raises(ValueError) as err:
+        decode(ScenarioSpec, data, "scenario")
+    assert "scenario key target.color is missing" in str(err.value)
+
+
+@pytest.mark.parametrize("where,value,message", [
+    (("target", "waypoints", 1, 0), 0.5,
+     "scenario key target.waypoints[1][0] must be an integer"),
+    (("target", "wobble"), 1, "unknown scenario keys: target.wobble"),
+    (("target",), [1, 2], "scenario key target must be a flat JSON object"),
+    (("dims",), {"width": 96, "height": 64},
+     "scenario key dims must be a JSON array"),
+    (("dims",), [96], "scenario key dims must be a JSON array of 2 items"),
+], ids=["waypoint_frame", "unknown_key", "target_array", "dims_object",
+        "dims_short"])
+def test_decode_names_the_dotted_path(where, value, message):
+    with pytest.raises(ValueError) as err:
+        decode(ScenarioSpec, _with(where, value), "scenario")
+    assert message in str(err.value)
+
+
+def test_decode_reads_null_as_an_unset_optional_field():
+    spec = decode(ScenarioSpec, _with(
+        ("distractors", 0, "pattern_similarity"), None), "scenario")
+    assert spec.distractors[0].pattern_similarity is None
+
+
+def test_decode_reads_only_frame_dims_from_an_array():
+    assert decode(FrameDims, [96, 64], "dims") == FrameDims(96, 64)
+    with pytest.raises(ValueError, match="config must be a flat JSON object"):
+        decode(PipelineConfig, [0.45, 0.5], "config")
+    with pytest.raises(ValueError, match="must be a flat JSON object"):
+        decode(ObjectSpec, [[1, 2, 3]], "target")
+
+
+_SPECS = standard_suite() + [
+    tiny_scenario(),
+    tiny_scenario(with_distractor=True, noise=NoiseSpec(1.0, 0.5, 0.1, 0.05, 2)),
+]
+
+
+def _json_spec(spec: ScenarioSpec):
+    return json.loads(json.dumps(scenario_spec_to_dict(spec)))
+
+
+def _leaves(value, keys=(), path=""):
+    """(keys, dotted path, value) of every scalar in a JSON value."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, keys + (k,), f"{path}.{k}" if path else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, keys + (i,), f"{path}[{i}]")
+    else:
+        yield keys, path, value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SPECS))
+def test_spec_round_trips_through_json(spec):
+    assert scenario_spec_from_dict(_json_spec(spec)) == spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SPECS), st.data())
+def test_wrongly_typed_leaf_is_rejected_by_its_path(spec, data):
+    doc = _json_spec(spec)
+    keys, path, value = data.draw(st.sampled_from(list(_leaves(doc))))
+    # no leaf of a spec is a bool, an array or an object, and a string leaf
+    # takes no number: each of these has the wrong JSON type for its leaf
+    wrong = data.draw(st.sampled_from(
+        [True, [], {}, 1.5 if isinstance(value, str) else "1.5"]))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = wrong
+    with pytest.raises(ValueError) as err:
+        scenario_spec_from_dict(doc)
+    assert f"scenario key {path} must be" in str(err.value)

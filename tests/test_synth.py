@@ -348,7 +348,7 @@ def test_spec_from_dict_rejects_unknown_keys():
     data["speed"] = 3
     with pytest.raises(ValueError) as err:
         scenario_spec_from_dict(data)
-    assert "unknown keys: speed" in str(err.value)
+    assert "unknown scenario keys: speed" in str(err.value)
     data2 = scenario_spec_to_dict(tiny_scenario())
     data2["target"]["wobble"] = 1
     with pytest.raises(ValueError) as err:
