@@ -10,7 +10,7 @@ whole stack runs end to end without any learned model.
 """
 
 from .appearance import compute_descriptor, cosine, ncc_scores, ncc_search
-from .bench import capacity_configs, ladder_configs, run_disk_scenario
+from .bench import knockout_configs, ladder_configs, run_disk_scenario
 from .config import (PipelineConfig, config_from_dict, config_to_dict,
                      load_config, save_config, scale_thresholds)
 from .detection import (Detection, DetectionSet, DetectorInterface,
@@ -56,6 +56,6 @@ __all__ = [
     "robustness", "recovery_stats", "summarize",
     "config_from_dict", "config_to_dict", "load_config", "save_config",
     "scale_thresholds",
-    "run_disk_scenario", "ladder_configs", "capacity_configs",
+    "run_disk_scenario", "ladder_configs", "knockout_configs",
     "__version__",
 ]

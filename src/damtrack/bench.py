@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import Sequence
 
 from .config import PipelineConfig
 from .detection import ScriptedDetector
@@ -62,11 +61,19 @@ def ladder_configs(base: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
     ]
 
 
-def capacity_configs(base: PipelineConfig,
-                     capacities: Sequence[int]) -> list[tuple[str, PipelineConfig]]:
-    """One config per memory capacity, both buffers set to the same size."""
-    out = []
-    for cap in capacities:
-        out.append((f"ram_drm={cap}",
-                    replace(base, ram_capacity=cap, drm_capacity=cap)))
-    return out
+# one row per mechanism: the value of an existing key that switches it off
+KNOCKOUTS = (
+    ("no_bank", {"gamma": 0.0}),  # no distractor penalty in recovery
+    ("no_stage1", {"tau_acc": 99.0}),  # no anchor can score this high
+    ("no_locality", {"tau_prior": 0.0}),  # stage 2 takes any motion prior
+    ("no_size_blend", {"beta": 0.0}),  # the held box keeps its size
+    ("no_crowding", {"tau_occ": 1.0}),  # only an exact overlap crowds
+    ("no_jump", {"tau_jump": 1.0}),  # only a jump past one diagonal
+    ("no_realign", {"tau_match": 1.0}),  # only an exact overlap realigns
+)
+
+
+def knockout_configs(base: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
+    """The base config, then the base without each mechanism in turn."""
+    return [("full", base)] + [(name, replace(base, **override))
+                               for name, override in KNOCKOUTS]

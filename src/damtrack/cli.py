@@ -1,5 +1,8 @@
 """Command line harness: track, synth, bench, and eval subcommands.
 
+``bench`` runs one config, or one sweep of it: the component ladder, the
+knock-out table (without each mechanism in turn), or scaled thresholds.
+
 Machine output goes to files; human diagnostics go to stderr. Every failure
 exits nonzero with a message naming the offending input (the file and line,
 for a JSON Lines file). Every JSON and JSON Lines output is written through
@@ -14,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .bench import (capacity_configs, discover_scenarios, ladder_configs,
+from .bench import (discover_scenarios, knockout_configs, ladder_configs,
                     run_disk_scenario)
 from .config import (PipelineConfig, config_to_dict, load_config,
                      scale_thresholds)
@@ -129,27 +132,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_ablate(text: str) -> list[int]:
-    """The capacities of a "ram_drm=N,N,..." sweep, each at least 1."""
-    field, _, values = text.partition("=")
-    try:
-        capacities = [int(v) for v in values.split(",")]
-    except ValueError:
-        capacities = []
-    if field != "ram_drm" or not capacities or min(capacities) < 1:
-        raise ValueError(
-            f'bad --ablate {text!r}: expected "ram_drm=N,N,..."')
-    return capacities
-
-
 def _bench_variants(args: argparse.Namespace,
                     base: PipelineConfig) -> list[tuple[str, PipelineConfig]]:
     # a given flag counts even when its value is falsy ("--perturb 0")
-    chosen = (args.ablate is not None) + (args.perturb is not None) + args.ladder
+    chosen = args.knockout + args.ladder + (args.perturb is not None)
     if chosen > 1:
-        raise ValueError("--ablate, --perturb, and --ladder are exclusive")
-    if args.ablate is not None:
-        return capacity_configs(base, _parse_ablate(args.ablate))
+        raise ValueError("--knockout, --ladder, and --perturb are exclusive")
+    if args.knockout:
+        return knockout_configs(base)
     if args.ladder:
         return ladder_configs(base)
     if args.perturb is not None:
@@ -217,6 +207,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     }
     if args.events is not None:
         events = read_events_file(args.events)
+        if any(end > len(gt) for _start, end in events):
+            raise ValueError(f"{args.events}: bad events file: an occlusion "
+                             f"ends past the {len(gt)} frames")
         stats = recovery_stats(result, events)
         report["recovery_rate"] = stats.rate
         report["recovery_mean_latency"] = stats.mean_latency
@@ -258,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, help="suite directory")
     p.add_argument("--config", help="flat JSON config; defaults if omitted")
     p.add_argument("--out", required=True, help="JSON report path")
-    p.add_argument("--ablate", metavar="ram_drm=N,N,...",
-                   help="sweep memory capacities")
+    p.add_argument("--knockout", action="store_true",
+                   help="run the config as 'full', then once without each "
+                        "mechanism")
     p.add_argument("--perturb", type=float, metavar="F",
                    help="also run with thresholds scaled by (1-F) and (1+F)")
     p.add_argument("--ladder", action="store_true",

@@ -10,11 +10,25 @@ finite JSON number, an int key a JSON integer, a switch true or false).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .records import decode, read_json, write_json
 
 STAGE1_REINIT_MODES = ("ref", "anchor")
+
+
+# the closed range [low, high] of each bounded key
+_RANGES = {
+    **dict.fromkeys(("tau_s", "nms_iou", "tau_in", "tau_a", "tau_sim",
+                     "tau_conf", "tau_jump", "tau_occ", "beta", "tau_match",
+                     "tau_snap", "tau_prior", "tau_ncc"), (0.0, 1.0)),
+    **dict.fromkeys(("lambda_iou", "lambda_app", "lambda_mot", "lambda_time",
+                     "alpha", "gamma", "tau_acc"), (0.0, math.inf)),
+    **dict.fromkeys(("delta", "ram_capacity", "drm_capacity", "neg_capacity",
+                     "window_w", "m_min", "kappa", "ncc_region_factor"),
+                    (1.0, math.inf)),
+}
 
 
 @dataclass(frozen=True)
@@ -64,22 +78,10 @@ class PipelineConfig:
     use_held: bool = True
 
     def __post_init__(self):
-        for name in ("tau_s", "nms_iou", "tau_in", "tau_a", "tau_sim",
-                     "tau_conf", "tau_jump", "tau_occ", "beta", "tau_match",
-                     "tau_snap", "tau_prior", "tau_ncc"):
+        for name, (low, high) in _RANGES.items():
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
-        for name in ("lambda_iou", "lambda_app", "lambda_mot", "lambda_time",
-                     "alpha", "gamma"):
-            v = getattr(self, name)
-            if v < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
-        for name in ("delta", "ram_capacity", "drm_capacity", "neg_capacity",
-                     "window_w", "m_min", "kappa", "ncc_region_factor"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+            if not low <= v <= high:
+                raise ValueError(f"{name} must be in [{low:g},{high:g}], got {v}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.stage1_reinit not in STAGE1_REINIT_MODES:
@@ -90,15 +92,10 @@ class PipelineConfig:
 
 KNOWN_KEYS = tuple(f.name for f in fields(PipelineConfig))
 
-# fields scaled by perturbation sweeps: every [0,1] threshold and weight;
+# fields scaled by perturbation sweeps: every float key with a range;
 # integer counts, capacities, and strides are excluded
-PERTURBABLE = (
-    "tau_s", "nms_iou", "kappa",
-    "tau_in", "tau_a", "tau_sim", "lambda_iou", "lambda_app", "lambda_mot",
-    "lambda_time", "alpha", "gamma", "tau_acc",
-    "tau_conf", "tau_jump", "tau_occ", "beta", "tau_match", "tau_snap",
-    "tau_prior", "tau_ncc", "ncc_region_factor",
-)
+PERTURBABLE = tuple(key for key in _RANGES
+                    if isinstance(getattr(PipelineConfig, key), float))
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -124,10 +121,6 @@ def scale_thresholds(cfg: PipelineConfig, factor: float) -> PipelineConfig:
         raise ValueError("factor must be > 0")
     scaled = {}
     for key in PERTURBABLE:
-        value = getattr(cfg, key) * factor
-        if key in ("kappa", "ncc_region_factor"):
-            value = max(value, 1.0)
-        else:
-            value = min(max(value, 0.0), 1.0)
-        scaled[key] = value
+        low, high = _RANGES[key]
+        scaled[key] = min(max(getattr(cfg, key) * factor, low), high)
     return replace(cfg, **scaled)

@@ -618,10 +618,14 @@ def read_gt_file(path: str) -> tuple[list[Box | None], list[bool]]:
 
 
 def read_events_file(path: str) -> list[tuple[int, int]]:
-    """Occlusion events as (start, end) frame pairs."""
-    return read_json(path, "events file", lambda data: [
+    """Occlusion events as (start, end) frame pairs, 0 <= start < end."""
+    events = read_json(path, "events file", lambda data: [
         (json_int(e["start"], "start"), json_int(e["end"], "end"))
         for e in data["occlusions"]])
+    if not all(0 <= start < end for start, end in events):
+        raise ValueError(f"{path}: bad events file: every occlusion needs "
+                         f"0 <= start < end")
+    return events
 
 
 # --- spec (de)serialization ---------------------------------------------------

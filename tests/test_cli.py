@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import tiny_scenario
-from damtrack.bench import ladder_configs
+from damtrack.bench import KNOCKOUTS, knockout_configs, ladder_configs
 from damtrack.cli import main
-from damtrack.config import save_config
+from damtrack.config import config_to_dict, save_config
 from damtrack import media
 from damtrack.media import read_pnm, write_pnm
 from damtrack.pipeline import PipelineConfig
@@ -111,7 +111,11 @@ def test_eval_bad_gt_record_names_file_and_line(eval_inputs, tmp_path,
     '[]',
     '{"occlusions": [{"start": 1, "end": "two"}]}',
     '{"occlusions": ',
-], ids=["no_end", "no_occlusions", "not_object", "bad_end", "not_json"])
+    '{"occlusions": [{"start": 2, "end": 1}]}',
+    '{"occlusions": [{"start": -1, "end": 1}]}',
+    '{"occlusions": [{"start": 1, "end": 3}]}',           # past the 2 frames
+], ids=["no_end", "no_occlusions", "not_object", "bad_end", "not_json",
+        "inverted", "negative_start", "past_end"])
 def test_eval_bad_events_file_names_file(eval_inputs, tmp_path, capsys,
                                          content):
     path = tmp_path / "bad_events.json"
@@ -210,10 +214,22 @@ def test_bench_ladder_rows(suite_dir, tmp_path):
     assert [row["config"] for row in _rows(out)] == names
 
 
-def test_bench_ablate_rows(suite_dir, tmp_path):
+def test_bench_knockout_rows(suite_dir, tmp_path):
     out = tmp_path / "report.json"
-    assert _bench(suite_dir, out, "--ablate", "ram_drm=2,4") == 0
-    assert [row["config"] for row in _rows(out)] == ["ram_drm=2", "ram_drm=4"]
+    assert _bench(suite_dir, out, "--knockout") == 0
+    names = ["full"] + [name for name, _override in KNOCKOUTS]
+    assert [row["config"] for row in _rows(out)] == names
+
+
+def test_knockouts_change_only_their_keys():
+    base = config_to_dict(PipelineConfig())
+    (full, cfg), *rows = knockout_configs(PipelineConfig())
+    assert full == "full" and config_to_dict(cfg) == base
+    assert [name for name, _cfg in rows] == [name for name, _ in KNOCKOUTS]
+    for (_name, override), (_label, cfg) in zip(KNOCKOUTS, rows):
+        changed = {key: value for key, value in config_to_dict(cfg).items()
+                   if value != base[key]}
+        assert changed == override
 
 
 def test_bench_perturb_rows(suite_dir, tmp_path):
@@ -226,7 +242,7 @@ def test_bench_perturb_rows(suite_dir, tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--perturb", "0"), ("--perturb", "1"), ("--ablate", ""),
+    ("--perturb", "0"), ("--perturb", "1"),
 ])
 def test_bench_falsy_flag_values_rejected(suite_dir, tmp_path, capsys,
                                           flag, value):
@@ -238,18 +254,8 @@ def test_bench_falsy_flag_values_rejected(suite_dir, tmp_path, capsys,
 
 def test_bench_exclusive_flags(suite_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = _bench(suite_dir, out, "--ladder", "--ablate", "ram_drm=2")
+    code = _bench(suite_dir, out, "--ladder", "--knockout")
     _assert_failed(code, capsys, "exclusive", out)
-
-
-@pytest.mark.parametrize("value", [
-    "ram_drm=a", "ram_drm=0", "ram_drm=2,-1", "ram_drm=", "ram_drm=2.5",
-    "ram=2", "2,4",
-])
-def test_bench_bad_ablate_names_flag(suite_dir, tmp_path, capsys, value):
-    out = tmp_path / "report.json"
-    code = _bench(suite_dir, out, "--ablate", value)
-    _assert_failed(code, capsys, f"bad --ablate {value!r}", out)
 
 
 def test_bench_missing_suite(suite_dir, tmp_path, capsys):

@@ -80,7 +80,7 @@ _RANGE_RULES = [
     ("tau_prior", -0.01, 0.0), ("tau_ncc", 1.01, 1.0),
     ("lambda_iou", -0.01, 0.0), ("lambda_app", -0.01, 0.0),
     ("lambda_mot", -0.01, 0.0), ("lambda_time", -0.01, 0.0),
-    ("alpha", -0.01, 0.0), ("gamma", -0.01, 0.0),
+    ("alpha", -0.01, 0.0), ("gamma", -0.01, 0.0), ("tau_acc", -0.01, 0.0),
     ("delta", 0, 1), ("ram_capacity", 0, 1), ("drm_capacity", 0, 1),
     ("neg_capacity", 0, 1), ("window_w", 0, 1), ("m_min", 0, 1),
     ("kappa", 0.99, 1.0), ("ncc_region_factor", 0.99, 1.0),
@@ -144,6 +144,13 @@ def test_scale_thresholds_exact_values():
             assert flat_down[key] == pytest.approx(flat_base[key] * 0.8)
     # tau_sim is the one default that hits the unit ceiling at 1.2x
     assert flat_up["tau_sim"] == 1.0
+
+
+def test_scale_thresholds_keeps_open_ranges_unclamped():
+    # gamma is bounded below only, so 1.5 scales both ways
+    base = PipelineConfig(gamma=1.5)
+    assert scale_thresholds(base, 1.1).gamma == pytest.approx(1.65)
+    assert scale_thresholds(base, 0.9).gamma == pytest.approx(1.35)
 
 
 def test_scale_thresholds_leaves_structure_alone():
