@@ -18,6 +18,7 @@ of the energy stops being negligible.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -87,8 +88,9 @@ def cosine(a: Descriptor, b: Descriptor) -> float:
     """Cosine similarity; 0 if either vector is all-zero."""
     if a.shape != b.shape:
         raise ValueError(f"descriptor length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    # np.linalg.norm of a 1-D float64 vector is sqrt(x.dot(x)), bit for bit
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
@@ -128,6 +130,28 @@ def _template_terms(data: bytes, dtype: str, shape: tuple[int, int],
     return t_var, spec
 
 
+def _window_sums(region_gray: np.ndarray, th: int, tw: int) -> np.ndarray:
+    """Sum and sum of squares of every th x tw window, a (2, H-th+1, W-tw+1)
+    int64 array of exact integers.
+
+    Each column is summed over every th-row band by a running sum down the
+    columns, then each band over every tw columns by a running sum along
+    its row; the running sums start from a zero row and column.
+    """
+    rh, rw = region_gray.shape
+    cols = np.empty((2, rh + 1, rw), dtype=np.int64)
+    cols[:, 0] = 0
+    np.cumsum(region_gray, axis=0, dtype=np.int64, out=cols[0, 1:])
+    np.multiply(region_gray, region_gray, dtype=np.int64, out=cols[1, 1:])
+    np.cumsum(cols[1, 1:], axis=0, out=cols[1, 1:])
+    bands = np.empty((2, rh - th + 1, rw + 1), dtype=np.int64)
+    bands[:, :, 0] = 0
+    np.subtract(cols[:, th:], cols[:, :-th], out=bands[:, :, 1:])
+    del cols
+    np.cumsum(bands[:, :, 1:], axis=2, out=bands[:, :, 1:])
+    return bands[:, :, tw:] - bands[:, :, :-tw]
+
+
 def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Zero-mean NCC of the template at every integer offset inside the region.
 
@@ -142,7 +166,7 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     axis broadcasts), at the fast FFT length of the region itself: a circular
     correlation wraps only into lags past ``H-th`` (``W-tw``), which the
     valid block never reads. Window sums and sums of squares come from
-    float64 integral images, which hold exact integers, so a flat window has
+    exact int64 running sums (``_window_sums``), so a flat window has
     exactly zero variance. Both variances are normalised as
     ``n * sum_sq - sum * sum`` with n template pixels, an exact integer in
     float64 for uint8 input and templates up to about 600x600, so a window
@@ -171,30 +195,20 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     num = sp_fft.irfftn(spec, fshape, axes=axes)[:rh - th + 1, :rw - tw + 1]
     del spec  # each large temporary is freed before the next is allocated
 
-    # integral images of the values and of their squares
-    ii = np.zeros((2, rh + 1, rw + 1))
-    np.cumsum(region_gray, axis=0, dtype=np.float64, out=ii[0, 1:, 1:])
-    np.multiply(region_gray, region_gray, dtype=np.float64, out=ii[1, 1:, 1:])
-    np.cumsum(ii[1, 1:, 1:], axis=0, out=ii[1, 1:, 1:])
-    np.cumsum(ii[:, 1:, 1:], axis=2, out=ii[:, 1:, 1:])
-    sums = ii[:, th:, tw:] - ii[:, :-th, tw:]
-    sums -= ii[:, th:, :-tw]
-    sums += ii[:, :-th, :-tw]
-    del ii
-
+    w_sum, w_ss = _window_sums(region_gray, th, tw)
     # num is a plain sum of products while both variances carry a factor
     # n, so the score is n * num / sqrt(w_var * t_var)
     n = th * tw
-    w_sum, w_var = sums
-    w_var *= n
+    w_ss *= n
     w_sum *= w_sum
-    w_var -= w_sum
+    w_ss -= w_sum
+    w_var = w_ss.astype(np.float64)
     flat = w_var <= 0.0
-    w_var[flat] = 1.0
+    np.copyto(w_var, 1.0, where=flat)
     w_var *= t_var
     num *= n
     num /= np.sqrt(w_var, out=w_var)
-    num[flat] = 0.0
+    np.copyto(num, 0.0, where=flat)
     return np.clip(num, -1.0, 1.0, out=num)
 
 
@@ -203,16 +217,19 @@ def ncc_search(frame: Frame, template: np.ndarray, region: Box) -> tuple[Box, fl
 
     Returns the best-matching box (template dims, frame coordinates) and the
     peak score in [-1, 1]. Ties break toward the first offset in row-major
-    order.
+    order, so a region of one colour, where every offset scores 0, returns
+    its first offset without gray or NCC.
     """
     rect = crop_rect(frame.dims, region)
     if rect is None:
         raise ValueError(f"search region {region} does not intersect the frame")
     x0, y0, x1, y1 = rect
-    region_gray = frame.gray(x0, y0, x1, y1)
-    scores = ncc_scores(region_gray, template)
+    th, tw = template.shape
+    # a template that does not fit still reaches ncc_scores' error
+    if th <= y1 - y0 and tw <= x1 - x0 and frame.is_flat(x0, y0, x1, y1):
+        return Box(float(x0), float(y0), float(tw), float(th)), 0.0
+    scores = ncc_scores(frame.gray(x0, y0, x1, y1), template)
     peak = int(np.argmax(scores))
     oy, ox = divmod(peak, scores.shape[1])
-    th, tw = template.shape
     best = Box(float(x0 + ox), float(y0 + oy), float(tw), float(th))
     return best, float(scores[oy, ox])

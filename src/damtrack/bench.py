@@ -21,7 +21,7 @@ def run_disk_scenario(path: str, config: PipelineConfig,
     frames = load_sequence(os.path.join(path, "frames"))
     detector = ScriptedDetector.from_file(os.path.join(path, "detections.jsonl"))
     gt, _ = read_gt_file(os.path.join(path, "gt.jsonl"))
-    events = read_events_file(os.path.join(path, "events.json"))
+    events = read_events_file(os.path.join(path, "events.json"), len(gt))
     init_box = gt[0]
     if init_box is None:
         raise ValueError(f"{path}: ground truth is occluded at frame 0")

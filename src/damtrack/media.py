@@ -5,7 +5,8 @@ Patches are plain numpy arrays: RGB patches are ``(h, w, 3) uint8``, grayscale
 patches ``(h, w) uint8``. A frame is never converted to gray as a whole:
 ``Frame.gray`` converts only the rectangle a caller reads, and since the
 conversion is per pixel, a window's gray equals the same window of the
-full-frame gray bit for bit. ``resample`` keeps its source indices and
+full-frame gray bit for bit, and ``Frame.is_flat`` tells a one-colour
+rectangle without converting it. ``resample`` keeps its source indices and
 weights per shape in a small cache and reads the uint8 input directly. Only
 binary PPM (P6) and PGM (P5) are decoded natively; PNG support is optional
 and needs Pillow.
@@ -54,6 +55,21 @@ class Frame:
         """
         return to_gray(self.pixels[y0:y1, x0:x1])
 
+    def is_flat(self, x0: int, y0: int, x1: int, y1: int) -> bool:
+        """True when the non-empty rectangle [x0, x1) x [y0, y1) holds one
+        RGB colour.
+
+        The middle row is compared with itself shifted by one pixel, then
+        every row with it. A search rectangle is centred on its target, so
+        its middle row is textured even where its first row is plain
+        background, and a textured rectangle usually stops after that one
+        row. A one-colour rectangle has one gray level too, and costs much
+        less to test this way than by converting it.
+        """
+        rows = self.pixels[y0:y1, x0:x1].reshape(y1 - y0, -1)
+        mid = rows[(y1 - y0) // 2]
+        return bool((mid[3:] == mid[:-3]).all() and (rows == mid).all())
+
 
 # --- pixel math ---------------------------------------------------------------
 
@@ -93,10 +109,12 @@ def _resample_plan(in_w: int, in_h: int, out_w: int, out_h: int
                    ) -> tuple[np.ndarray, ...]:
     """Source rows and columns and their weights for one resampling shape.
 
-    Returns ``y0, y1, x0, x1, 1 - fx, fx, 1 - fy, fy``, the row weights as
-    columns. A tracker's window keeps its dims from frame to frame, so a plan
-    is built once per shape; its arrays are read-only because every caller
-    shares them.
+    Returns ``span, r, x0, x1, 1 - fx, fx, 1 - fy, fy``: ``span`` holds the
+    first source row an output row reads and one past the last, ``r[0]``
+    and ``r[1]`` are each output row's two source rows counted from the
+    first, and the row weights are columns. A tracker's window keeps its
+    dims from frame to frame, so a plan is built once per shape; its arrays
+    are read-only because every caller shares them.
     """
     xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
@@ -106,7 +124,9 @@ def _resample_plan(in_w: int, in_h: int, out_w: int, out_h: int
     y1 = np.minimum(y0 + 1, in_h - 1)
     fx = np.clip(xs - x0, 0.0, 1.0)
     fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    plan = (y0, y1, x0, x1, 1 - fx, fx, 1 - fy, fy)
+    span = np.array([y0[0], y1[-1] + 1])
+    r = np.stack([y0, y1]) - y0[0]
+    plan = (span, r, x0, x1, 1 - fx, fx, 1 - fy, fy)
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -116,23 +136,25 @@ def resample(gray: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinear resampling of a grayscale patch to ``out_w`` x ``out_h``.
 
     Uses pixel-center alignment, so identity dims reproduce the input exactly.
-    Rows are gathered first, then columns, straight from the uint8 input;
-    uint8 times float64 promotes exactly, so each output is the float64 value
-    ``(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy``, rounded half up.
+    Each source row in the plan's span is interpolated across the columns
+    once, straight from the uint8 input, and the output rows blend two of
+    those; uint8 times float64 promotes exactly, so each output is the
+    float64 value ``(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy``,
+    rounded half up.
     """
     if out_w < 1 or out_h < 1:
         raise ValueError("output dims must be >= 1")
     in_h, in_w = gray.shape
     if (in_w, in_h) == (out_w, out_h):
         return gray.copy()
-    y0, y1, x0, x1, wx0, wx1, wy0, wy1 = _resample_plan(in_w, in_h, out_w, out_h)
-    rows = gray[y0]
-    top = rows[:, x0] * wx0
-    top += rows[:, x1] * wx1
-    rows = gray[y1]
-    bot = rows[:, x0] * wx0
-    bot += rows[:, x1] * wx1
+    span, r, x0, x1, wx0, wx1, wy0, wy1 = _resample_plan(
+        in_w, in_h, out_w, out_h)
+    src = gray[span[0]:span[1]]
+    across = src[:, x0] * wx0
+    across += src[:, x1] * wx1
+    top = across[r[0]]
     top *= wy0
+    bot = across[r[1]]
     bot *= wy1
     top += bot
     top += 0.5
@@ -213,7 +235,8 @@ def write_pnm(path: str, pixels: np.ndarray) -> None:
         raise ValueError(f"unsupported pixel shape {pixels.shape}")
     with open(path, "wb") as f:
         f.write(magic + b"\n" + f"{w} {h}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes())
+        # the buffer itself: no copy of a contiguous array
+        f.write(np.ascontiguousarray(pixels).data)
 
 
 def _read_png(path: str) -> np.ndarray:

@@ -617,14 +617,22 @@ def read_gt_file(path: str) -> tuple[list[Box | None], list[bool]]:
     return boxes, occluded
 
 
-def read_events_file(path: str) -> list[tuple[int, int]]:
-    """Occlusion events as (start, end) frame pairs, 0 <= start < end."""
+def read_events_file(path: str, length: int | None = None
+                     ) -> list[tuple[int, int]]:
+    """Occlusion events as (start, end) frame pairs, 0 <= start < end.
+
+    Given the sequence length, an occlusion that ends past it is an error
+    too: it could never count as recovered.
+    """
     events = read_json(path, "events file", lambda data: [
         (json_int(e["start"], "start"), json_int(e["end"], "end"))
         for e in data["occlusions"]])
     if not all(0 <= start < end for start, end in events):
         raise ValueError(f"{path}: bad events file: every occlusion needs "
                          f"0 <= start < end")
+    if length is not None and any(end > length for _start, end in events):
+        raise ValueError(f"{path}: bad events file: an occlusion ends past "
+                         f"the {length} frames")
     return events
 
 

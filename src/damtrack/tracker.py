@@ -39,12 +39,19 @@ class TemplateTracker:
         resampled so the target appears at template scale, searched
         exhaustively, and the peak mapped back to frame coordinates. Returns
         the best box at unchanged dims and a confidence in [0,1].
+
+        A window of one colour scores 0 at every offset, so the first offset
+        wins: the box moves to the window's corner with confidence 0, found
+        without gray, resampling or NCC.
         """
         if self.template is None or self.last_box is None:
             raise RuntimeError("tracker update before init")
         last = self.last_box
         window = roi_crop(last, SEARCH_SCALE, frame.dims)
         x0, y0, x1, y1 = crop_rect(frame.dims, window)
+        if frame.is_flat(x0, y0, x1, y1):
+            self.last_box = Box(float(x0), float(y0), last.w, last.h)
+            return self.last_box, 0.0
         win = frame.gray(x0, y0, x1, y1)
         wh, ww = win.shape
         norm_w = max(int(round(ww * TEMPLATE_SIDE / last.w)), TEMPLATE_SIDE)

@@ -38,6 +38,19 @@ def make_scene(width: int, height: int, boxes: list[tuple[Box, int]],
     return Frame(canvas, index=index)
 
 
+class TexturedFrame(Frame):
+    """A frame that never reports a flat rectangle, so a search takes its
+    full path: gray, resampling and NCC."""
+
+    def is_flat(self, x0: int, y0: int, x1: int, y1: int) -> bool:
+        return False
+
+
+def full_path_reached(*args, **kwargs):
+    """Stand-in for a step a one-colour search must not reach."""
+    raise AssertionError("full path reached")
+
+
 # --- HSV oracles ---------------------------------------------------------------
 
 

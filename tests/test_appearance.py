@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -15,13 +16,14 @@ from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 import damtrack
-from conftest import hsv_channels, make_block_patch, make_scene, to_hsv
+from conftest import (TexturedFrame, full_path_reached, hsv_channels,
+                      make_block_patch, make_scene, to_hsv)
 from damtrack import appearance
 from damtrack.appearance import (DESCRIPTOR_LEN, HUE_BINS, PATCH_SIDE,
                                  SAT_BINS, compute_descriptor, cosine,
                                  hsv_histogram, ncc_scores, ncc_search)
 from damtrack.geometry import Box
-from damtrack.media import Frame
+from damtrack.media import Frame, crop_rect
 
 
 # --- histogram ----------------------------------------------------------------
@@ -171,6 +173,33 @@ def test_cosine_basics():
         cosine(a, np.zeros(4))
 
 
+def _norm_formula_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+@st.composite
+def descriptor_pairs(draw):
+    n = draw(st.integers(1, DESCRIPTOR_LEN))
+    # zeros often, so all-zero vectors and sparse ones are common
+    values = st.sampled_from([0.0]) | st.floats(-1e3, 1e3)
+    return tuple(draw(arrays(np.float64, n, elements=values))
+                 for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(descriptor_pairs())
+def test_cosine_bitwise_equals_linalg_norm_formula(pair):
+    a, b = pair
+    for v in (a, b, np.zeros_like(a)):
+        assert math.sqrt(v.dot(v)).hex() == float(np.linalg.norm(v)).hex()
+    for x, y in ((a, b), (a, np.zeros_like(a)), (a, a)):
+        assert cosine(x, y).hex() == _norm_formula_cosine(x, y).hex()
+
+
 # --- NCC ----------------------------------------------------------------------
 
 
@@ -229,6 +258,29 @@ def reference_ncc(region: np.ndarray, template: np.ndarray) -> np.ndarray:
     denom = np.sqrt(np.where(flat, 1.0, w_var) * t_var)
     scores = np.where(flat, 0.0, n * num / denom)
     return np.clip(scores, -1.0, 1.0)
+
+
+@st.composite
+def window_sum_cases(draw):
+    rh = draw(st.integers(1, 200))
+    rw = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # all 255 is the largest sum of squares a window can hold
+    high = draw(st.sampled_from([1, 2, 256]))
+    region = np.random.default_rng(seed).integers(0, high, size=(rh, rw))
+    region = (255 - region).astype(np.uint8)
+    th = draw(st.sampled_from([1, rh]) | st.integers(1, rh))
+    tw = draw(st.sampled_from([1, rw]) | st.integers(1, rw))
+    return region, th, tw
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_sum_cases())
+def test_window_sums_equal_integral_image_oracle(case):
+    region, th, tw = case
+    got = appearance._window_sums(region, th, tw)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.stack(_window_sums(region, th, tw)))
 
 
 @st.composite
@@ -435,6 +487,41 @@ def test_ncc_search_finds_offset_and_ties_row_major(rng):
     best_flat, peak_flat = ncc_search(flat, template, Box(5, 3, 20, 14))
     assert (best_flat.x, best_flat.y) == (5, 3)
     assert peak_flat == 0.0
+
+
+def test_ncc_search_flat_region_skips_gray_and_ncc(monkeypatch):
+    template = make_block_patch(9, 7, seed=5)[:, :, 0]
+    frame = make_scene(30, 20, [])
+    monkeypatch.setattr(Frame, "gray", full_path_reached)
+    monkeypatch.setattr(appearance, "ncc_scores", full_path_reached)
+    best, peak = ncc_search(frame, template, Box(5.5, 3.2, 20, 14))
+    assert best == Box(5.0, 3.0, 9.0, 7.0) and peak == 0.0
+    # one channel of one pixel inside the region takes the full path
+    frame.pixels[16, 24, 0] += 1
+    with pytest.raises(AssertionError, match="full path reached"):
+        ncc_search(frame, template, Box(5.5, 3.2, 20, 14))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 255), st.integers(1, 12), st.integers(1, 12),
+       st.floats(-10.0, 40.0), st.floats(-10.0, 30.0),
+       st.floats(1.0, 40.0), st.floats(1.0, 40.0))
+def test_ncc_search_flat_region_matches_full_path(level, th, tw, x, y, w, h):
+    pixels = make_scene(40, 30, [], background=level).pixels
+    template = make_block_patch(tw, th, seed=6)[:, :, 0]
+    region = Box(x, y, w, h)
+    rect = crop_rect(Frame(pixels).dims, region)
+    results = []
+    for cls in (Frame, TexturedFrame):
+        try:
+            results.append(ncc_search(cls(pixels), template, region))
+        except ValueError as e:  # off the frame, or a template too large
+            results.append(str(e))
+    assert results[0] == results[1]
+    if rect is not None:
+        x0, y0, x1, y1 = rect
+        fits = th <= y1 - y0 and tw <= x1 - x0
+        assert isinstance(results[0], tuple) == fits
 
 
 def test_ncc_search_region_off_frame():

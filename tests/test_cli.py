@@ -258,6 +258,19 @@ def test_bench_exclusive_flags(suite_dir, tmp_path, capsys):
     _assert_failed(code, capsys, "exclusive", out)
 
 
+def test_bench_events_past_the_sequence_names_file(suite_dir, tmp_path,
+                                                    capsys):
+    suite = tmp_path / "suite"
+    shutil.copytree(suite_dir, suite)
+    path = suite / "tiny" / "events.json"
+    events = json.loads(path.read_text())
+    events["occlusions"].append({"start": 2, "end": 9999})
+    path.write_text(json.dumps(events))
+    out = tmp_path / "report.json"
+    code = _bench(suite_dir, out, suite=str(suite))
+    _assert_failed(code, capsys, f"{path}: bad events file", out)
+
+
 def test_bench_missing_suite(suite_dir, tmp_path, capsys):
     missing = tmp_path / "no_suite"
     out = tmp_path / "report.json"

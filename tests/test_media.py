@@ -66,17 +66,21 @@ def test_frame_validation_and_dims():
     assert f.dims == FrameDims(6, 4)
 
 
-@st.composite
-def frames_and_rects(draw):
-    h = draw(st.integers(1, 24))
-    w = draw(st.integers(1, 24))
-    pixels = draw(arrays(np.uint8, (h, w, 3)))
+def _draw_rect(draw, w: int, h: int) -> tuple[int, int, int, int]:
     # one corner at a time, each pinned to the border a fair share of draws
     x0 = draw(st.sampled_from([0, w - 1]) | st.integers(0, w - 1))
     y0 = draw(st.sampled_from([0, h - 1]) | st.integers(0, h - 1))
     x1 = draw(st.sampled_from([x0 + 1, w]) | st.integers(x0 + 1, w))
     y1 = draw(st.sampled_from([y0 + 1, h]) | st.integers(y0 + 1, h))
-    return Frame(pixels), (x0, y0, x1, y1)
+    return x0, y0, x1, y1
+
+
+@st.composite
+def frames_and_rects(draw):
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    pixels = draw(arrays(np.uint8, (h, w, 3)))
+    return Frame(pixels), _draw_rect(draw, w, h)
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,6 +90,30 @@ def test_frame_gray_window_equals_full_frame_slice(case):
     got = f.gray(x0, y0, x1, y1)
     assert got.dtype == np.uint8
     assert np.array_equal(got, to_gray(f.pixels)[y0:y1, x0:x1])
+
+
+@st.composite
+def near_flat_frames_and_rects(draw):
+    """A one-colour frame with up to three channel values changed, so a
+    rectangle is one colour about as often as not."""
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    colour = draw(st.tuples(*[st.integers(0, 255)] * 3))
+    pixels = np.full((h, w, 3), colour, dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 3))):
+        y = draw(st.integers(0, h - 1))
+        x = draw(st.integers(0, w - 1))
+        c = draw(st.integers(0, 2))
+        pixels[y, x, c] = draw(st.integers(0, 255))
+    return Frame(pixels), _draw_rect(draw, w, h)
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_flat_frames_and_rects() | frames_and_rects())
+def test_is_flat_exactly_when_one_colour(case):
+    f, (x0, y0, x1, y1) = case
+    colours = np.unique(f.pixels[y0:y1, x0:x1].reshape(-1, 3), axis=0)
+    assert f.is_flat(x0, y0, x1, y1) == (len(colours) == 1)
 
 
 def test_crop_rect_rounds_outward():
@@ -206,6 +234,17 @@ def test_ppm_round_trip(tmp_path, rng):
     assert np.array_equal(read_pnm(path), pixels)
     with open(path, "rb") as f:
         assert f.read(2) == b"P6"
+
+
+def test_ppm_round_trip_of_a_strided_view(tmp_path, rng):
+    # every other column: a view that is not contiguous in memory
+    pixels = rng.integers(0, 256, size=(11, 34, 3), dtype=np.uint8)[:, ::2]
+    assert not pixels.flags.c_contiguous
+    path = str(tmp_path / "x.ppm")
+    write_pnm(path, pixels)
+    with open(path, "rb") as f:
+        assert f.read() == b"P6\n17 11\n255\n" + pixels.tobytes()
+    assert np.array_equal(read_pnm(path), pixels)
 
 
 def test_pgm_round_trip(tmp_path, rng):

@@ -19,8 +19,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("workload,seed", [
-    ("standard", 0), ("cover_dense_qvga", 0), ("disk_replay", 0),
-    ("disk_replay", 1),
+    ("standard", 0), ("cover_dense_qvga", 0), ("cover_dense_qvga", 1),
+    ("disk_replay", 0), ("disk_replay", 1),
 ])
 def test_track_digest_matches_reference(monkeypatch, workload, seed):
     monkeypatch.syspath_prepend(ROOT)

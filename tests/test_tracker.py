@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_scene
-from damtrack.geometry import Box
-from damtrack.media import Frame
-from damtrack.tracker import MotionEstimator, TemplateTracker
+from conftest import TexturedFrame, full_path_reached, make_scene
+from damtrack import tracker as tracker_module
+from damtrack.geometry import Box, roi_crop
+from damtrack.media import Frame, crop_rect
+from damtrack.tracker import SEARCH_SCALE, MotionEstimator, TemplateTracker
 
 
 def scene_with_patch(x: int, y: int) -> Frame:
@@ -40,6 +43,45 @@ def test_tracker_confidence_collapses_on_flat_frame():
     flat = make_scene(160, 120, [])
     _box, conf = tracker.update(flat)
     assert conf == 0.0
+
+
+def _search_rect(tracker: TemplateTracker, frame: Frame):
+    return crop_rect(frame.dims,
+                     roi_crop(tracker.last_box, SEARCH_SCALE, frame.dims))
+
+
+def test_tracker_flat_window_skips_gray_resample_and_ncc(monkeypatch):
+    tracker = TemplateTracker()
+    tracker.reinit(scene_with_patch(40, 30), Box(40.25, 30.5, 32.75, 31.5))
+    monkeypatch.setattr(Frame, "gray", full_path_reached)
+    monkeypatch.setattr(tracker_module, "resample", full_path_reached)
+    monkeypatch.setattr(tracker_module, "ncc_scores", full_path_reached)
+    flat = make_scene(160, 120, [])
+    x0, y0, x1, y1 = _search_rect(tracker, flat)
+    box, conf = tracker.update(flat)
+    assert box == Box(float(x0), float(y0), 32.75, 31.5)
+    assert conf == 0.0 and tracker.last_box == box
+    # one channel of one pixel in the next window takes the full path
+    x0, y0, x1, y1 = _search_rect(tracker, flat)
+    flat.pixels[y1 - 1, x1 - 1, 2] += 1
+    with pytest.raises(AssertionError, match="full path reached"):
+        tracker.update(flat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 255), st.floats(-20.0, 150.0), st.floats(-20.0, 110.0),
+       st.floats(2.0, 80.0), st.floats(2.0, 80.0))
+def test_tracker_flat_window_matches_full_path(level, x, y, w, h):
+    box = Box(x, y, w, h)
+    flat = make_scene(160, 120, [], background=level)
+    assume(crop_rect(flat.dims, box) is not None)
+    results = []
+    for cls in (Frame, TexturedFrame):
+        tracker = TemplateTracker()
+        tracker.reinit(scene_with_patch(40, 30), box)
+        # two steps: the second searches from where the first moved the box
+        results.append([tracker.update(cls(flat.pixels)) for _ in range(2)])
+    assert results[0] == results[1]
 
 
 def test_tracker_update_before_init_raises():
