@@ -24,7 +24,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .geometry import Box
-from .media import Frame, crop_patch, crop_rect, resample, to_gray
+from .media import Frame, crop_patch, crop_rect, resample
 
 # Descriptors are plain float64 arrays; alias for signatures.
 Descriptor = np.ndarray
@@ -78,7 +78,8 @@ def compute_descriptor(frame: Frame, box: Box) -> Descriptor:
     all patch pixels. Raises if the box misses the frame entirely.
     """
     patch = crop_patch(frame, box)
-    gray = resample(to_gray(patch), PATCH_SIDE, PATCH_SIDE).ravel() / 255.0
+    gray = resample(frame.gray(*crop_rect(frame.dims, box)),
+                    PATCH_SIDE, PATCH_SIDE).ravel() / 255.0
     parts = np.concatenate([gray - gray.mean(), hsv_histogram(patch)])
     norm = np.linalg.norm(parts)
     return parts / norm if norm > 0 else parts
@@ -98,10 +99,13 @@ def cosine(a: Descriptor, b: Descriptor) -> float:
 
 def _spectrum(a: np.ndarray, fshape: tuple[int, ...], axes: tuple[int, ...]
               ) -> np.ndarray:
-    """Real FFT of a, zero-padded by hand so the FFT copies nothing."""
+    """Real FFT of a, zero-padded by hand so the FFT copies nothing; at an
+    FFT length equal to a's own dims there is nothing to pad."""
     shape = list(a.shape)
     for axis, n in zip(axes, fshape):
         shape[axis] = n
+    if tuple(shape) == a.shape:
+        return sp_fft.rfftn(a.astype(np.float64, copy=False), axes=axes)
     padded = np.zeros(shape)
     padded[:a.shape[0], :a.shape[1]] = a
     return sp_fft.rfftn(padded, axes=axes)
@@ -130,26 +134,57 @@ def _template_terms(data: bytes, dtype: str, shape: tuple[int, int],
     return t_var, spec
 
 
+def _run_sums(buf: np.ndarray, n: int, k: int, stride: int
+              ) -> tuple[np.ndarray, int]:
+    """Sums of k entries ``stride`` apart along the first n entries of the
+    1-D array buf: entry j of the result is
+    ``buf[j] + buf[j + stride] + ... + buf[j + (k-1)*stride]``.
+
+    Returns an array of buf's length and the count m = n - (k-1)*stride of
+    its leading entries that hold such sums. The sums are built by binary
+    doubling: each pass adds a run of sums of ``width`` entries to itself
+    shifted by ``width * stride``, and the runs of k's set bits add up to
+    the result. buf is overwritten.
+    """
+    m = n - (k - 1) * stride
+    out = spare = None
+    run, width, off = buf, 1, 0
+    while True:
+        if k & width:
+            if out is None:
+                out = run
+            else:
+                out[:m] += run[off * stride:off * stride + m]
+            off += width
+        if 2 * width > k:
+            return out, m
+        d = width * stride
+        n -= d
+        nxt = np.empty_like(buf) if spare is None else spare
+        np.add(run[:n], run[d:d + n], out=nxt[:n])
+        spare = None if run is out else run
+        run, width = nxt, 2 * width
+
+
 def _window_sums(region_gray: np.ndarray, th: int, tw: int) -> np.ndarray:
     """Sum and sum of squares of every th x tw window, a (2, H-th+1, W-tw+1)
-    int64 array of exact integers.
+    array of exact integers.
 
-    Each column is summed over every th-row band by a running sum down the
-    columns, then each band over every tw columns by a running sum along
-    its row; the running sums start from a zero row and column.
+    The two planes are laid end to end in one flat array and summed over th
+    rows (entries ``W`` apart), then over tw columns (adjacent entries), by
+    ``_run_sums``; a sum that crosses a row or plane end lands only in
+    entries the result does not keep. The integers are int32 when a window
+    of 255s fits, ``th*tw*255**2 < 2**31``, and int64 otherwise.
     """
     rh, rw = region_gray.shape
-    cols = np.empty((2, rh + 1, rw), dtype=np.int64)
-    cols[:, 0] = 0
-    np.cumsum(region_gray, axis=0, dtype=np.int64, out=cols[0, 1:])
-    np.multiply(region_gray, region_gray, dtype=np.int64, out=cols[1, 1:])
-    np.cumsum(cols[1, 1:], axis=0, out=cols[1, 1:])
-    bands = np.empty((2, rh - th + 1, rw + 1), dtype=np.int64)
-    bands[:, :, 0] = 0
-    np.subtract(cols[:, th:], cols[:, :-th], out=bands[:, :, 1:])
-    del cols
-    np.cumsum(bands[:, :, 1:], axis=2, out=bands[:, :, 1:])
-    return bands[:, :, tw:] - bands[:, :, :-tw]
+    dtype = np.int32 if th * tw * 255 ** 2 < 2 ** 31 else np.int64
+    planes = np.empty((2, rh, rw), dtype)
+    planes[0] = region_gray
+    np.multiply(region_gray, region_gray, dtype=dtype, out=planes[1])
+    flat = planes.reshape(-1)
+    cols, n = _run_sums(flat, flat.size, th, rw)
+    sums, _ = _run_sums(cols, n, tw, 1)
+    return sums.reshape(2, rh, rw)[:, :rh - th + 1, :rw - tw + 1]
 
 
 def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -165,13 +200,14 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     spectrum over the axes where the template is longer than 1 (a length-1
     axis broadcasts), at the fast FFT length of the region itself: a circular
     correlation wraps only into lags past ``H-th`` (``W-tw``), which the
-    valid block never reads. Window sums and sums of squares come from
-    exact int64 running sums (``_window_sums``), so a flat window has
-    exactly zero variance. Both variances are normalised as
-    ``n * sum_sq - sum * sum`` with n template pixels, an exact integer in
-    float64 for uint8 input and templates up to about 600x600, so a window
-    whose variance is tiny against its mean loses no precision. The later
-    steps work in place, and the result is a view into the inverse FFT.
+    valid block never reads. Window sums and sums of squares are exact
+    integers (``_window_sums``), so a flat window has exactly zero
+    variance. Both variances are normalised as ``n * sum_sq - sum * sum``
+    with n template pixels, formed in float64 from those integers: exact
+    below 2**53, that is for uint8 input and templates up to about 600x600,
+    so a window whose variance is tiny against its mean loses no precision.
+    The later steps work in place, and the result is a view into the
+    inverse FFT.
     """
     th, tw = template.shape
     rh, rw = region_gray.shape
@@ -199,16 +235,17 @@ def ncc_scores(region_gray: np.ndarray, template: np.ndarray) -> np.ndarray:
     # num is a plain sum of products while both variances carry a factor
     # n, so the score is n * num / sqrt(w_var * t_var)
     n = th * tw
-    w_ss *= n
-    w_sum *= w_sum
-    w_ss -= w_sum
-    w_var = w_ss.astype(np.float64)
+    w_var = np.multiply(w_ss, n, dtype=np.float64)
+    w_var -= np.multiply(w_sum, w_sum, dtype=np.float64)
     flat = w_var <= 0.0
-    np.copyto(w_var, 1.0, where=flat)
+    any_flat = bool(flat.any())
+    if any_flat:
+        np.copyto(w_var, 1.0, where=flat)
     w_var *= t_var
     num *= n
     num /= np.sqrt(w_var, out=w_var)
-    np.copyto(num, 0.0, where=flat)
+    if any_flat:
+        np.copyto(num, 0.0, where=flat)
     return np.clip(num, -1.0, 1.0, out=num)
 
 

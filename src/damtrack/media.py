@@ -3,11 +3,16 @@ conversion and bilinear resampling.
 
 Patches are plain numpy arrays: RGB patches are ``(h, w, 3) uint8``, grayscale
 patches ``(h, w) uint8``. A frame is never converted to gray as a whole:
-``Frame.gray`` converts only the rectangle a caller reads, and since the
-conversion is per pixel, a window's gray equals the same window of the
-full-frame gray bit for bit, and ``Frame.is_flat`` tells a one-colour
-rectangle without converting it. ``resample`` keeps its source indices and
-weights per shape in a small cache and reads the uint8 input directly. Only
+``Frame.gray`` converts only the rectangle a caller reads. The conversion is
+per pixel, so a window's gray equals the same window of a larger
+rectangle's gray bit for bit. The one exception seen is a half-way colour
+(``299r + 587g + 114b`` ending in 500) in a one-pixel-wide rectangle, whose
+matmul takes another kernel that may round the tie the other way. So a
+frame keeps the largest rectangle it has converted and serves any rectangle
+inside it as a copy of that gray: a tracking step's search window holds the
+boxes its later reads ask for, and the frame is converted once. ``Frame.is_flat`` tells a one-colour rectangle
+without converting it. ``resample`` keeps its source indices and weights per
+axis and length in two small caches and reads the uint8 input directly. Only
 binary PPM (P6) and PGM (P5) are decoded natively; PNG support is optional
 and needs Pillow.
 """
@@ -17,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -31,29 +36,48 @@ class MediaError(Exception):
 
 @dataclass
 class Frame:
-    """One RGB video frame plus its position in the sequence."""
+    """One RGB video frame plus its position in the sequence.
+
+    The pixels must not change once ``gray`` has read them: the frame keeps
+    the gray of the largest rectangle it has converted.
+    """
 
     pixels: np.ndarray  # (H, W, 3) uint8
     index: int = 0
+    dims: FrameDims = field(init=False, repr=False, compare=False)
+    # the largest converted rectangle, as (x0, y0, x1, y1), and its gray
+    _gray_rect: tuple[int, int, int, int] = field(
+        default=(0, 0, 0, 0), init=False, repr=False, compare=False)
+    _gray: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
             raise ValueError(f"frame pixels must be (H, W, 3), got {self.pixels.shape}")
         if self.pixels.dtype != np.uint8:
             raise ValueError(f"frame pixels must be uint8, got {self.pixels.dtype}")
-
-    @property
-    def dims(self) -> FrameDims:
         h, w = self.pixels.shape[:2]
-        return FrameDims(w, h)
+        self.dims = FrameDims(w, h)
 
     def gray(self, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
         """Grayscale of the pixel rectangle [x0, x1) x [y0, y1), a fresh array.
 
         The corners are in ``crop_rect`` order, so ``frame.gray(*rect)``
-        converts a crop rectangle.
+        converts a crop rectangle. A rectangle inside the largest one
+        converted so far is a copy of that gray's slice, which equals its
+        own conversion but for the half-way colours the module docstring
+        names; any other is converted, and kept when its area is the
+        largest yet.
         """
-        return to_gray(self.pixels[y0:y1, x0:x1])
+        gx0, gy0, gx1, gy1 = self._gray_rect
+        if gx0 <= x0 and gy0 <= y0 and x1 <= gx1 and y1 <= gy1:
+            return self._gray[y0 - gy0:y1 - gy0, x0 - gx0:x1 - gx0].copy()
+        gray = to_gray(self.pixels[y0:y1, x0:x1])
+        if (x1 - x0) * (y1 - y0) > (gx1 - gx0) * (gy1 - gy0):
+            self._gray_rect = (x0, y0, x1, y1)
+            self._gray = gray
+            return gray.copy()
+        return gray
 
     def is_flat(self, x0: int, y0: int, x1: int, y1: int) -> bool:
         """True when the non-empty rectangle [x0, x1) x [y0, y1) holds one
@@ -80,8 +104,9 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 def to_gray(patch: np.ndarray) -> np.ndarray:
     """Convert an RGB patch to 8-bit grayscale (BT.601 luma, round-half-up)."""
     luma = patch.astype(np.float64) @ _LUMA
+    # in [0.5, 256), where the cast's truncation is the floor
     luma += 0.5
-    return np.floor(luma, out=luma).astype(np.uint8)
+    return luma.astype(np.uint8)
 
 
 def crop_patch(frame: Frame, box: Box) -> np.ndarray:
@@ -104,42 +129,56 @@ def crop_rect(dims: FrameDims, box: Box) -> tuple[int, int, int, int] | None:
     return x0, y0, x1, y1
 
 
-@functools.lru_cache(maxsize=64)
-def _resample_plan(in_w: int, in_h: int, out_w: int, out_h: int
-                   ) -> tuple[np.ndarray, ...]:
-    """Source rows and columns and their weights for one resampling shape.
+def _axis_positions(n_in: int, n_out: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each output pixel's two source pixels along one axis, and the weight
+    of the second, with pixel-center alignment."""
+    pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.clip(np.floor(pos).astype(int), 0, n_in - 1)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    return i0, i1, np.clip(pos - i0, 0.0, 1.0)
 
-    Returns ``span, r, x0, x1, 1 - fx, fx, 1 - fy, fy``: ``span`` holds the
-    first source row an output row reads and one past the last, ``r[0]``
-    and ``r[1]`` are each output row's two source rows counted from the
-    first, and the row weights are columns. A tracker's window keeps its
-    dims from frame to frame, so a plan is built once per shape; its arrays
-    are read-only because every caller shares them.
-    """
-    xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
-    ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
-    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
-    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    fx = np.clip(xs - x0, 0.0, 1.0)
-    fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
-    span = np.array([y0[0], y1[-1] + 1])
-    r = np.stack([y0, y1]) - y0[0]
-    plan = (span, r, x0, x1, 1 - fx, fx, 1 - fy, fy)
+
+def _read_only(*plan: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in plan:
         a.flags.writeable = False
     return plan
+
+
+# A tracker's window follows its box and the frame border, so its input dims
+# change from frame to frame while each axis sees few lengths: on the
+# benchmark's workloads at most 51 column and 85 row (n_in, n_out) pairs per
+# pass, which these caches hold whole.
+@functools.lru_cache(maxsize=128)
+def _column_plan(in_w: int, out_w: int) -> tuple[np.ndarray, ...]:
+    """``x0, x1, 1 - fx, fx``: each output column's two source columns and
+    their weights. The arrays are read-only because every caller shares
+    them."""
+    x0, x1, fx = _axis_positions(in_w, out_w)
+    return _read_only(x0, x1, 1 - fx, fx)
+
+
+@functools.lru_cache(maxsize=128)
+def _row_plan(in_h: int, out_h: int) -> tuple[np.ndarray, ...]:
+    """``span, r, 1 - fy, fy``: ``span`` holds the first source row an
+    output row reads and one past the last, ``r[0]`` and ``r[1]`` are each
+    output row's two source rows counted from the first, and the weights
+    are columns. The arrays are read-only because every caller shares
+    them."""
+    y0, y1, fy = _axis_positions(in_h, out_h)
+    fy = fy[:, None]
+    span = np.array([y0[0], y1[-1] + 1])
+    return _read_only(span, np.stack([y0, y1]) - y0[0], 1 - fy, fy)
 
 
 def resample(gray: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Bilinear resampling of a grayscale patch to ``out_w`` x ``out_h``.
 
     Uses pixel-center alignment, so identity dims reproduce the input exactly.
-    Each source row in the plan's span is interpolated across the columns
-    once, straight from the uint8 input, and the output rows blend two of
-    those; uint8 times float64 promotes exactly, so each output is the
-    float64 value ``(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy``,
+    Each source row in the row plan's span is interpolated across the
+    columns once, straight from the uint8 input, and the output rows blend
+    two of those; uint8 times float64 promotes exactly, so each output is
+    the float64 value ``(a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy``,
     rounded half up.
     """
     if out_w < 1 or out_h < 1:
@@ -147,8 +186,8 @@ def resample(gray: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     in_h, in_w = gray.shape
     if (in_w, in_h) == (out_w, out_h):
         return gray.copy()
-    span, r, x0, x1, wx0, wx1, wy0, wy1 = _resample_plan(
-        in_w, in_h, out_w, out_h)
+    x0, x1, wx0, wx1 = _column_plan(in_w, out_w)
+    span, r, wy0, wy1 = _row_plan(in_h, out_h)
     src = gray[span[0]:span[1]]
     across = src[:, x0] * wx0
     across += src[:, x1] * wx1
@@ -157,8 +196,9 @@ def resample(gray: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     bot = across[r[1]]
     bot *= wy1
     top += bot
+    # in [0.5, 256), where the cast's truncation is the floor
     top += 0.5
-    return np.floor(top, out=top).astype(np.uint8)
+    return top.astype(np.uint8)
 
 
 # --- PPM / PGM codec ----------------------------------------------------------

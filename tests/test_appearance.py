@@ -279,8 +279,19 @@ def window_sum_cases(draw):
 def test_window_sums_equal_integral_image_oracle(case):
     region, th, tw = case
     got = appearance._window_sums(region, th, tw)
-    assert got.dtype == np.int64
+    # int32 holds every sum while a window of 255s fits
+    assert got.dtype == (np.int32 if th * tw * 255**2 < 2**31 else np.int64)
     assert np.array_equal(got, np.stack(_window_sums(region, th, tw)))
+
+
+@pytest.mark.parametrize("side, dtype", [(181, np.int32), (182, np.int64)])
+def test_window_sums_of_255s_at_the_int32_bound(side, dtype):
+    # 181**2 * 255**2 is just below 2**31 and 182**2 * 255**2 just above
+    region = np.full((200, 200), 255, dtype=np.uint8)
+    got = appearance._window_sums(region, side, side)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.stack(_window_sums(region, side, side)))
+    assert got[1].max() == side * side * 255**2
 
 
 @st.composite

@@ -33,6 +33,26 @@ def test_to_gray_neutral_identity(rng):
     assert np.array_equal(to_gray(patch), v)
 
 
+def _half_up(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact BT.601 gray rounded half up, and where the colour lies half-way
+    (``299r + 587g + 114b`` is 500 modulo 1000)."""
+    weighted = rgb.astype(np.int64) @ np.array([299, 587, 114])
+    return (weighted + 500) // 1000, weighted % 1000 == 500
+
+
+def test_to_gray_is_exact_but_may_round_half_way_colours_down():
+    # every 8-bit colour, one red level at a time. The float64 matmul leaves
+    # the rounding of a half-way colour to the BLAS kernel that runs it
+    rgb = np.zeros((256, 256, 3), dtype=np.uint8)
+    rgb[..., 1] = np.arange(256)[:, None]
+    rgb[..., 2] = np.arange(256)
+    for r in range(256):
+        rgb[..., 0] = r
+        exact, half_way = _half_up(rgb)
+        below = exact - to_gray(rgb)
+        assert ((below == 0) | (half_way & (below == 1))).all(), r
+
+
 def test_to_hsv_known_values():
     assert to_hsv((255, 0, 0)) == (0.0, 1.0, 1.0)
     h, s, v = to_hsv((0, 255, 0))
@@ -90,6 +110,48 @@ def test_frame_gray_window_equals_full_frame_slice(case):
     got = f.gray(x0, y0, x1, y1)
     assert got.dtype == np.uint8
     assert np.array_equal(got, to_gray(f.pixels)[y0:y1, x0:x1])
+
+
+# half-way colours; with numpy 2.4 and OpenBLAS 0.3.31, to_gray rounds each
+# of these one way in a one-pixel-wide rectangle and the other in a wider one
+_HALF_WAY = [(1, 63, 230), (67, 233, 164), (135, 237, 44), (204, 224, 44)]
+
+
+@st.composite
+def frames_and_rect_sequences(draw):
+    h = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    # about a third of the pixels half-way
+    half_way = rng.random((h, w)) < 1 / 3
+    pixels[half_way] = rng.choice(np.array(_HALF_WAY, dtype=np.uint8),
+                                  half_way.sum())
+    pool = [_draw_rect(draw, w, h) for _ in range(draw(st.integers(1, 4)))]
+    rects = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return Frame(pixels), rects
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames_and_rect_sequences())
+def test_frame_gray_of_any_rectangle_sequence(case):
+    f, rects = case
+    got = []
+    for x0, y0, x1, y1 in rects:
+        gray = f.gray(x0, y0, x1, y1)
+        patch = f.pixels[y0:y1, x0:x1]
+        own = to_gray(patch)
+        exact, half_way = _half_up(patch)
+        # the rectangle's own conversion, except that a half-way colour may
+        # round as the larger rectangle it was converted in rounded it
+        assert gray.dtype == np.uint8 and gray.shape == own.shape
+        assert np.array_equal(gray[~half_way], own[~half_way])
+        assert (exact - gray <= 1).all() and (gray <= exact).all()
+        got.append((gray.copy(), gray))
+        # a fresh array: writing to it changes no later result
+        gray += 1
+    for want, written in got:
+        assert np.array_equal(written, want + 1)
 
 
 @st.composite
@@ -186,13 +248,27 @@ def test_resample_matches_reference_bitwise(case):
 
 
 def test_resample_plan_is_read_only():
-    plan = media._resample_plan(45, 45, 16, 16)
-    assert len(plan) == 8
-    for a in plan:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0
-    assert media._resample_plan(45, 45, 16, 16) is plan
+    for plan_of in (media._column_plan, media._row_plan):
+        plan = plan_of(45, 16)
+        assert len(plan) == 4
+        for a in plan:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert plan_of(45, 16) is plan
+
+
+def test_resample_plans_are_per_axis():
+    # a 45x30 -> 16x20 resample reads the (45, 16) column plan and the
+    # (30, 20) row plan, the ones a 45x12 -> 16x5 and a 7x30 -> 3x20 read
+    media._column_plan.cache_clear()
+    media._row_plan.cache_clear()
+    gray = np.arange(45 * 30, dtype=np.uint8).reshape(30, 45)
+    for h, w, out_w, out_h in ((12, 45, 16, 5), (30, 7, 3, 20),
+                               (30, 45, 16, 20)):
+        resample(gray[:h, :w], out_w, out_h)
+    assert media._column_plan.cache_info().hits == 1
+    assert media._row_plan.cache_info().hits == 1
 
 
 

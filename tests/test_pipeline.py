@@ -15,6 +15,7 @@ import pytest
 from conftest import make_block_patch, make_scene, tiny_scenario
 from damtrack.detection import Detection, ScriptedDetector, DetectionSet
 from damtrack.geometry import Box, FrameDims, Vec2
+from damtrack import media
 from damtrack.media import Frame
 from damtrack.pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig,
                                TrackerSession, compute_switch,
@@ -201,6 +202,30 @@ def test_detections_are_stale_off_stride():
     # t=1 and t=2 are off the stride-3 schedule: the provided set is still
     # the (empty) one from t=0
     assert session.last_set.t == 0 and len(session.last_set) == 0
+
+
+def test_stable_step_converts_gray_once(monkeypatch):
+    # the search window holds the realigned template, the descriptor box
+    # and the verified template, so each stable frame is converted once
+    to_gray = media.to_gray
+    converted = []
+
+    def counting(patch):
+        converted.append(patch.shape[:2])
+        return to_gray(patch)
+
+    monkeypatch.setattr(media, "to_gray", counting)
+    det_box = Box(43, 31, 32, 32)
+    session = TrackerSession(ScriptedDetector({3: [Detection(det_box, 0.9)]}))
+    session.init(scene(0, (40, 30)), Box(40, 30, 32, 32))
+    assert converted == [(32, 32)]
+    for t in (1, 2, 3):
+        converted.clear()
+        out = session.step(scene(t, (40, 30)))
+        assert out.mode == MODE_NORMAL
+        assert converted == [(80, 80)]
+    # frame 3 realigned onto the detection and refreshed the references
+    assert out.box == det_box and session.dam.ram[-1].timestamp == 3
 
 
 def test_drm_promotion_during_stable_tracking():
