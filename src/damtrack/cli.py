@@ -95,6 +95,12 @@ def _cmd_track(args: argparse.Namespace) -> int:
     else:
         detector = ScriptedDetector.from_file(args.detections)
     if args.annotate:
+        # annotated frames take the input frames' names, so annotating into
+        # the input directory would overwrite the sequence while it is read
+        if (os.path.isdir(args.annotate) and os.path.isdir(args.frames)
+                and os.path.samefile(args.annotate, args.frames)):
+            raise ValueError(f"--annotate {args.annotate} is the --frames "
+                             f"directory {args.frames}")
         # a bad directory fails here, before any output is written
         os.makedirs(args.annotate, exist_ok=True)
     # each frame is annotated as it is tracked, so the sequence decodes once

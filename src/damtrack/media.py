@@ -15,12 +15,20 @@ without converting it. ``resample`` keeps its source indices and weights per
 axis and length in two small caches and reads the uint8 input directly. Only
 binary PPM (P6) and PGM (P5) are decoded natively; PNG support is optional
 and needs Pillow.
+
+A PPM frame's pixels are a read-only view of the file's read-only mapping:
+decoding copies nothing, and a tracking step reads from the page cache only
+the pages its windows touch. Each live frame holds its mapping and a
+duplicate of the file's descriptor, so callers stream frames rather than
+collect them, and no file may be truncated or rewritten while a frame read
+from it is alive.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -228,11 +236,22 @@ def read_pnm(path: str) -> np.ndarray:
     """Decode a binary PPM (P6) or PGM (P5) file.
 
     Returns (H, W, 3) for PPM and (H, W) for PGM, both uint8, maxval 255 only.
-    The result is a read-only view over the file's bytes, not a copy; bytes
-    after the pixel data are ignored.
+    The result is a read-only view of a read-only mapping of the file, not a
+    copy: decoding reads only the header, and a pixel's page is read from
+    the page cache when something first touches it. Bytes after the pixel
+    data are ignored.
+
+    The array keeps the mapping alive, and with it a duplicate of the file
+    descriptor (``mmap`` makes one by default), so hold it only as long as
+    it is used. Do not truncate or rewrite the file while the array is
+    alive: a write shows through the shared mapping, and reading a page
+    that is no longer in the file raises SIGBUS. Unlinking the file is safe.
     """
     with open(path, "rb") as f:
-        data = f.read()
+        if os.fstat(f.fileno()).st_size == 0:
+            # an empty file cannot be mapped
+            raise MediaError(f"{path}: truncated header")
+        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     try:
         magic, pos = _read_header_token(data, 0)
         if magic not in (b"P5", b"P6"):
@@ -252,8 +271,10 @@ def read_pnm(path: str) -> np.ndarray:
             found = max(len(data) - pos, 0)
             raise MediaError(f"expected {need} pixel bytes, found {found}")
     except MediaError as e:
+        data.close()  # the traceback would keep the mapping open
         raise MediaError(f"{path}: {e}") from None
     except ValueError as e:
+        data.close()
         raise MediaError(f"{path}: bad header field ({e})") from None
     arr = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
     if channels == 3:
@@ -298,6 +319,11 @@ def load_sequence(path: str) -> Iterator[Frame]:
 
     All frames must share dimensions; grayscale inputs are expanded to RGB.
     Failures are fatal and name the offending file.
+
+    A PPM frame's pixels are ``read_pnm``'s read-only view of the file's
+    mapping, so each live frame holds a mapping and a file descriptor:
+    consume the frames as they come instead of keeping them, and do not
+    truncate or rewrite a file while its frame is alive.
     """
     if not os.path.isdir(path):
         raise MediaError(f"not a directory: {path}")

@@ -404,3 +404,18 @@ def test_track_bad_annotate_leaves_no_track_file(track_dir, tmp_path, capsys):
     out = tmp_path / "track.jsonl"
     code = _track(track_dir, out, "--annotate", str(taken))
     _assert_failed(code, capsys, str(taken), out)
+
+
+@pytest.mark.parametrize("via", ["same_path", "other_path"])
+def test_track_annotate_into_frames_dir_is_rejected(track_dir, tmp_path,
+                                                    capsys, via):
+    frames = tmp_path / "frames"
+    shutil.copytree(os.path.join(track_dir, "frames"), frames)
+    before = {p.name: p.read_bytes() for p in frames.iterdir()}
+    annotate = frames if via == "same_path" else frames / ".." / "frames"
+    out = tmp_path / "track.jsonl"
+    code = _track(track_dir, out, "--annotate", str(annotate),
+                  frames=str(frames))
+    _assert_failed(code, capsys, f"--annotate {annotate} is the --frames "
+                                 f"directory {frames}", out)
+    assert {p.name: p.read_bytes() for p in frames.iterdir()} == before

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,6 +334,22 @@ def test_pgm_round_trip(tmp_path, rng):
         assert f.read(2) == b"P5"
 
 
+@pytest.mark.parametrize("shape", [(5, 9, 3), (5, 9)], ids=["P6", "P5"])
+def test_read_pnm_is_a_read_only_view_of_the_file(tmp_path, rng, shape):
+    pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    path = str(tmp_path / "x.pnm")
+    write_pnm(path, pixels)
+    out = read_pnm(path)
+    # the mapping holds the file's pages, so unlinking the name is safe
+    os.unlink(path)
+    assert np.array_equal(out, pixels)
+    assert not out.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        out[0, 0] = 7
+    with pytest.raises(ValueError):
+        out.flags.writeable = True
+
+
 def test_read_pnm_header_comments(tmp_path):
     path = str(tmp_path / "c.pgm")
     body = bytes(range(6))
@@ -349,6 +367,7 @@ def test_read_pnm_header_comments(tmp_path):
     (b"P5\n0 2\n255\n", "non-positive"),
     (b"P5\nx 2\n255\n" + b"\x00" * 4, "bad header field"),
     (b"P5", "truncated header"),
+    (b"", "truncated header"),  # an empty file, which cannot be mapped
 ])
 def test_read_pnm_errors_name_the_file(tmp_path, content, fragment):
     path = str(tmp_path / "bad.pgm")

@@ -8,6 +8,8 @@ forced (or forbidden) deterministically.
 from __future__ import annotations
 
 import math
+import os
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from damtrack.pipeline import (MODE_HOLDING, MODE_NORMAL, PipelineConfig,
                                TrackerSession, compute_switch,
                                detect_occlusion_set, motion_prior,
                                run_sequence, update_held)
-from damtrack.synth import generate
+from damtrack.synth import generate, write_scenario
 
 TARGET_SEED = 33
 
@@ -429,3 +431,55 @@ def test_run_is_deterministic():
 
     assert memory(run_a[2]) == memory(run_b[2])
     assert memory(run_a[2])[0]  # RAM holds at least the init entry
+
+
+# --- frame lifetime -----------------------------------------------------------
+# A frame read from disk holds its file's mapping and a file descriptor, so
+# no caller may keep one past its step. The checks read weak references
+# without gc.collect(): a frame must die by reference count.
+
+
+def test_session_keeps_no_frame_past_its_step():
+    out = generate(tiny_scenario(with_distractor=True))
+    session = TrackerSession(ScriptedDetector(out.detections))
+    modes = set()
+    for frame in out.frames():
+        ref = weakref.ref(frame)
+        result = (session.init(frame, out.init_box) if frame.index == 0
+                  else session.step(frame))
+        del frame
+        assert ref() is None, f"frame {result.t} outlives its step"
+        modes.add(result.mode)
+    # the cover sends the session through holding and recovery as well
+    assert modes == {MODE_NORMAL, MODE_HOLDING}
+
+
+def _mapping(pixels: np.ndarray):
+    # the object that exports the pixels' buffer: read_pnm's file mapping
+    base = pixels
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj
+
+
+def test_run_sequence_keeps_no_frame_past_its_step(tmp_path):
+    out = generate(tiny_scenario(with_distractor=True))
+    write_scenario(out, str(tmp_path))
+    frame_refs, mapping_refs = [], []
+
+    def watched(frames):
+        for frame in frames:
+            frame_refs.append(weakref.ref(frame))
+            mapping_refs.append(weakref.ref(_mapping(frame.pixels)))
+            yield frame
+            # run_sequence asks for the next frame once this step returned,
+            # still holding this frame in its loop: the one before must be gone
+            if frame.index > 0:
+                t = frame.index - 1
+                assert frame_refs[t]() is None, f"frame {t} is alive"
+                assert mapping_refs[t]() is None, f"frame {t}'s mapping is alive"
+
+    outputs, _, _ = run_sequence(
+        watched(media.load_sequence(os.path.join(tmp_path, "frames"))),
+        out.init_box, ScriptedDetector(out.detections), PipelineConfig())
+    assert len(outputs) == len(frame_refs) == out.spec.length
