@@ -112,16 +112,16 @@ def nms(dets: DetectionSet, iou_thresh: float) -> DetectionSet:
     return DetectionSet(dets.t, kept)
 
 
-def schedule(t: int, delta: int, occ_prev: bool) -> tuple[bool, bool]:
-    """Whether to run detection this frame, and whether over the full frame.
+def schedule(t: int, delta: int, occ_prev: bool) -> bool:
+    """Whether to run detection this frame.
 
     Detection runs on stride frames or always while the previous frame ended
-    occluded; occlusion also forces the full-frame pass (no ROI).
+    occluded; the caller also passes ``occ_prev`` to ``provide`` as
+    ``full_frame``, so occlusion forces the full-frame pass (no ROI).
     """
     if t < 0 or delta < 1:
         raise ValueError("t must be >= 0 and delta >= 1")
-    run = (t % delta == 0) or occ_prev
-    return run, occ_prev
+    return (t % delta == 0) or occ_prev
 
 
 def provide(detector: DetectorInterface, frame: Frame, prev_box: Box,

@@ -4,17 +4,12 @@ conversion and bilinear resampling.
 Patches are plain numpy arrays: RGB patches are ``(h, w, 3) uint8``, grayscale
 patches ``(h, w) uint8``. A frame is never converted to gray as a whole:
 ``Frame.gray`` converts only the rectangle a caller reads. The conversion is
-per pixel, so a window's gray equals the same window of a larger
-rectangle's gray bit for bit. The one exception seen is a half-way colour
-(``299r + 587g + 114b`` ending in 500) in a one-pixel-wide rectangle, whose
-matmul takes another kernel that may round the tie the other way. So a
-frame keeps the largest rectangle it has converted and serves any rectangle
-inside it as a copy of that gray: a tracking step's search window holds the
-boxes its later reads ask for, and the frame is converted once. ``Frame.is_flat`` tells a one-colour rectangle
-without converting it. ``resample`` keeps its source indices and weights per
-axis and length in two small caches and reads the uint8 input directly. Only
-binary PPM (P6) and PGM (P5) are decoded natively; PNG support is optional
-and needs Pillow.
+exact integer arithmetic per pixel, so a window's gray equals the same window
+of a larger rectangle's gray bit for bit, whatever the shapes.
+``Frame.is_flat`` tells a one-colour rectangle without converting it.
+``resample`` keeps its source indices and weights per axis and length in two
+small caches and reads the uint8 input directly. Only binary PPM (P6) and PGM
+(P5) are decoded natively; PNG support is optional and needs Pillow.
 
 A PPM frame's pixels are a read-only view of the file's read-only mapping:
 decoding copies nothing, and a tracking step reads from the page cache only
@@ -44,20 +39,11 @@ class MediaError(Exception):
 
 @dataclass
 class Frame:
-    """One RGB video frame plus its position in the sequence.
-
-    The pixels must not change once ``gray`` has read them: the frame keeps
-    the gray of the largest rectangle it has converted.
-    """
+    """One RGB video frame plus its position in the sequence."""
 
     pixels: np.ndarray  # (H, W, 3) uint8
     index: int = 0
     dims: FrameDims = field(init=False, repr=False, compare=False)
-    # the largest converted rectangle, as (x0, y0, x1, y1), and its gray
-    _gray_rect: tuple[int, int, int, int] = field(
-        default=(0, 0, 0, 0), init=False, repr=False, compare=False)
-    _gray: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
@@ -71,21 +57,9 @@ class Frame:
         """Grayscale of the pixel rectangle [x0, x1) x [y0, y1), a fresh array.
 
         The corners are in ``crop_rect`` order, so ``frame.gray(*rect)``
-        converts a crop rectangle. A rectangle inside the largest one
-        converted so far is a copy of that gray's slice, which equals its
-        own conversion but for the half-way colours the module docstring
-        names; any other is converted, and kept when its area is the
-        largest yet.
+        converts a crop rectangle.
         """
-        gx0, gy0, gx1, gy1 = self._gray_rect
-        if gx0 <= x0 and gy0 <= y0 and x1 <= gx1 and y1 <= gy1:
-            return self._gray[y0 - gy0:y1 - gy0, x0 - gx0:x1 - gx0].copy()
-        gray = to_gray(self.pixels[y0:y1, x0:x1])
-        if (x1 - x0) * (y1 - y0) > (gx1 - gx0) * (gy1 - gy0):
-            self._gray_rect = (x0, y0, x1, y1)
-            self._gray = gray
-            return gray.copy()
-        return gray
+        return to_gray(self.pixels[y0:y1, x0:x1])
 
     def is_flat(self, x0: int, y0: int, x1: int, y1: int) -> bool:
         """True when the non-empty rectangle [x0, x1) x [y0, y1) holds one
@@ -105,15 +79,23 @@ class Frame:
 
 # --- pixel math ---------------------------------------------------------------
 
-# ITU-R BT.601 luma weights
-_LUMA = np.array([0.299, 0.587, 0.114])
+# ITU-R BT.601 luma weights, in thousandths
+_LUMA = np.array([299, 587, 114], dtype=np.float32)
 
 
 def to_gray(patch: np.ndarray) -> np.ndarray:
-    """Convert an RGB patch to 8-bit grayscale (BT.601 luma, round-half-up)."""
-    luma = patch.astype(np.float64) @ _LUMA
-    # in [0.5, 256), where the cast's truncation is the floor
-    luma += 0.5
+    """Convert an RGB patch to 8-bit grayscale: BT.601 luma rounded half up,
+    ``(299r + 587g + 114b + 500) // 1000`` exactly.
+
+    Every product and partial sum is an integer below 2^24, so float32 holds
+    it exactly in whatever order the matmul kernel adds. The quotient
+    ``n / 1000`` ends at least 0.001 short of the next integer, and below
+    256 float32 rounds it by less than 2^-16, so the cast's truncation is
+    the floor.
+    """
+    luma = patch.astype(np.float32) @ _LUMA
+    luma += 500
+    luma /= 1000
     return luma.astype(np.uint8)
 
 

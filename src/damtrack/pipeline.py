@@ -146,10 +146,10 @@ class TrackerSession:
         # 1. detections (fresh on schedule, stale otherwise)
         ran = False
         if cfg.use_detector:
-            run, full = schedule(t, cfg.delta, self.mode == MODE_HOLDING)
-            dets = provide(self.detector, frame, prev, run, full,
+            holding = self.mode == MODE_HOLDING
+            ran = schedule(t, cfg.delta, holding)
+            dets = provide(self.detector, frame, prev, ran, holding,
                            self.last_set, cfg)
-            ran = run
         else:
             dets = DetectionSet(t, [])
         self.last_set = dets
@@ -325,7 +325,7 @@ def _patch_has_texture(frame: Frame, box: Box) -> bool:
     if rect is None:
         return False
     patch = frame.gray(*rect)
-    return patch.size > 0 and float(patch.max()) > float(patch.min())
+    return float(patch.max()) > float(patch.min())
 
 
 def run_sequence(frames, b0: Box, detector: DetectorInterface | None,

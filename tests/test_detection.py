@@ -81,14 +81,14 @@ def test_nms_keeps_disjoint():
 
 
 def test_schedule_stride_and_occlusion():
-    # stride 3: frames 0, 3, 6, ... run; occlusion forces run + full frame
-    assert schedule(0, 3, False) == (True, False)
-    assert schedule(1, 3, False) == (False, False)
-    assert schedule(2, 3, False) == (False, False)
-    assert schedule(3, 3, False) == (True, False)
-    assert schedule(1, 3, True) == (True, True)
-    assert schedule(3, 3, True) == (True, True)
-    assert schedule(5, 1, False) == (True, False)
+    # stride 3: frames 0, 3, 6, ... run; occlusion forces a run
+    assert schedule(0, 3, False)
+    assert not schedule(1, 3, False)
+    assert not schedule(2, 3, False)
+    assert schedule(3, 3, False)
+    assert schedule(1, 3, True)
+    assert schedule(3, 3, True)
+    assert schedule(5, 1, False)
     with pytest.raises(ValueError):
         schedule(-1, 3, False)
     with pytest.raises(ValueError):

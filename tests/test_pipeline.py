@@ -206,30 +206,6 @@ def test_detections_are_stale_off_stride():
     assert session.last_set.t == 0 and len(session.last_set) == 0
 
 
-def test_stable_step_converts_gray_once(monkeypatch):
-    # the search window holds the realigned template, the descriptor box
-    # and the verified template, so each stable frame is converted once
-    to_gray = media.to_gray
-    converted = []
-
-    def counting(patch):
-        converted.append(patch.shape[:2])
-        return to_gray(patch)
-
-    monkeypatch.setattr(media, "to_gray", counting)
-    det_box = Box(43, 31, 32, 32)
-    session = TrackerSession(ScriptedDetector({3: [Detection(det_box, 0.9)]}))
-    session.init(scene(0, (40, 30)), Box(40, 30, 32, 32))
-    assert converted == [(32, 32)]
-    for t in (1, 2, 3):
-        converted.clear()
-        out = session.step(scene(t, (40, 30)))
-        assert out.mode == MODE_NORMAL
-        assert converted == [(80, 80)]
-    # frame 3 realigned onto the detection and refreshed the references
-    assert out.box == det_box and session.dam.ram[-1].timestamp == 3
-
-
 def test_drm_promotion_during_stable_tracking():
     frames = [scene(t, (120, 90)) for t in range(4)]
     _outputs, _, session = run_frames(frames, Box(120, 90, 32, 32), {})
@@ -267,12 +243,24 @@ def test_holding_entry_and_glide():
     assert session.mode == MODE_HOLDING
 
 
-def test_occlusion_forces_full_frame_detection():
-    # t=4 is off the stride, but the previous frame ended occluded, so a
-    # detection far outside any ROI of the held box must still be seen
+def test_occlusion_forces_full_frame_detection(monkeypatch):
+    # t=4 is off the stride, but the previous frame ended occluded, so the
+    # detector runs over the whole frame and sees a detection far outside
+    # any ROI of the held box
+    detect = ScriptedDetector.detect
+    rois = {}
+
+    def recording(self, frame, roi=None):
+        rois[frame.index] = roi
+        return detect(self, frame, roi)
+
+    monkeypatch.setattr(ScriptedDetector, "detect", recording)
     far = Detection(Box(5, 5, 10, 10), 0.9)
     _outputs, _, session = occlusion_run(3, 3, None, per_frame={4: [far]})
-    assert session.last_set.t >= 4  # a post-occlusion run actually happened
+    # t=3 is a stride frame that started while tracking: an ROI pass
+    assert rois[3] is not None and rois[4] is None
+    assert 4 in rois and 5 in rois  # every held frame runs
+    assert session.last_set.t == 5
 
 
 def test_stage1_anchor_reacquisition():
